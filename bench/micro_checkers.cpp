@@ -399,6 +399,37 @@ static void BM_MonitorFlushScalingCc(benchmark::State &State) {
 }
 BENCHMARK(BM_MonitorFlushScalingCc)->Arg(4096)->Arg(16384)->Arg(65536);
 
+// The late bulk writer: c-twitter's initial-state transaction, which
+// writes every key's initial value, is the stream's last transaction. Each
+// reader of an initial value waits in the window until it arrives, and the
+// final pass then checks all of them against it. A read-level check that
+// re-indexes the writer once per reader makes that pass O(readers x writer
+// size). Arg: the window; the stream is ten windows long, which gives the
+// writer ~10k writes at a 4096 window.
+static void BM_MonitorLateBulkWriterCc(benchmark::State &State) {
+  size_t Window = static_cast<size_t>(State.range(0));
+  const History &H = cachedHistory(10 * Window);
+  TxnId Writer = static_cast<TxnId>(H.numTxns() - 1);
+  int64_t LateReads = 0;
+  for (TxnId Id = Writer - static_cast<TxnId>(Window); Id < Writer; ++Id)
+    for (const ReadInfo &RI : H.txn(Id).Reads)
+      LateReads += RI.Writer == Writer;
+  for (auto _ : State) {
+    MonitorOptions Options;
+    Options.Level = IsolationLevel::CausalConsistency;
+    Options.Check.MaxWitnesses = 1;
+    Options.CheckIntervalTxns = 256;
+    Options.WindowTxns = Window;
+    Monitor M(Options);
+    M.replay(H);
+    benchmark::DoNotOptimize(M.finalize());
+  }
+  State.counters["writer_writes"] = static_cast<double>(H.txn(Writer).size());
+  State.counters["late_reads"] = static_cast<double>(LateReads);
+  reportOps(State, H);
+}
+BENCHMARK(BM_MonitorLateBulkWriterCc)->Arg(4096);
+
 // O(delta) checkpoints: the monolithic v1 file re-serializes the whole
 // window on every checkpoint; a store-backed v2 commit appends only the
 // chunks whose bytes changed since the last flush. One iteration streams

@@ -7,7 +7,7 @@
 #include "checker/saturation_impl.h"
 #include "support/hybrid_map.h"
 
-#include <unordered_map>
+#include <algorithm>
 
 using namespace awdit;
 
@@ -21,22 +21,38 @@ bool awdit::checkRepeatableReadsRange(const History &H, TxnId Begin,
                                       TxnId End,
                                       std::vector<Violation> &Out) {
   size_t Before = Out.size();
-  std::unordered_map<Key, TxnId> LastWriter;
-  for (TxnId Id = Begin; Id < End; ++Id) {
-    const Transaction &T = H.txn(Id);
-    if (!T.Committed)
-      continue;
-    LastWriter.clear();
-    // Only external reads matter: the guard in Algorithm 2 line 25 skips
-    // own-transaction writers.
-    for (uint32_t ReadIdx : T.ExtReads) {
-      const ReadInfo &RI = T.Reads[ReadIdx];
-      auto [It, Inserted] = LastWriter.try_emplace(RI.K, RI.Writer);
-      if (!Inserted && It->second != RI.Writer)
-        Out.push_back({ViolationKind::NonRepeatableRead, Id, RI.OpIndex,
-                       RI.Writer,
-                       {}});
-    }
+  ReadCheckScratch Scratch;
+  for (TxnId Id = Begin; Id < End; ++Id)
+    checkRepeatableReadsTxn(H, Id, Scratch, Out);
+  return Out.size() == Before;
+}
+
+bool awdit::checkRepeatableReadsTxn(const History &H, TxnId Id,
+                                    ReadCheckScratch &Scratch,
+                                    std::vector<Violation> &Out) {
+  // Only external reads matter: the guard in Algorithm 2 line 25 skips
+  // own-transaction writers.
+  const Transaction &T = H.txn(Id);
+  if (!T.Committed || T.ExtReads.size() < 2)
+    return true;
+  size_t Before = Out.size();
+
+  // External reads as sorted (key, position) pairs: the first entry of a
+  // key is its first read, whose writer every later read of it must match.
+  std::vector<std::pair<Key, uint32_t>> &ByKey = Scratch.ByKey;
+  ByKey.clear();
+  for (uint32_t Pos = 0; Pos < T.ExtReads.size(); ++Pos)
+    ByKey.emplace_back(T.Reads[T.ExtReads[Pos]].K, Pos);
+  std::sort(ByKey.begin(), ByKey.end());
+
+  for (uint32_t ReadIdx : T.ExtReads) {
+    const ReadInfo &RI = T.Reads[ReadIdx];
+    auto First = std::lower_bound(ByKey.begin(), ByKey.end(),
+                                  std::make_pair(RI.K, uint32_t(0)));
+    if (T.Reads[T.ExtReads[First->second]].Writer != RI.Writer)
+      Out.push_back({ViolationKind::NonRepeatableRead, Id, RI.OpIndex,
+                     RI.Writer,
+                     {}});
   }
   return Out.size() == Before;
 }

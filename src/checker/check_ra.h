@@ -16,6 +16,7 @@
 #define AWDIT_CHECKER_CHECK_RA_H
 
 #include "checker/check_rc.h"
+#include "checker/read_consistency.h"
 #include "checker/violation.h"
 #include "history/history.h"
 
@@ -35,6 +36,13 @@ bool checkRepeatableReads(const History &H, std::vector<Violation> &Out);
 /// violation list.
 bool checkRepeatableReadsRange(const History &H, TxnId Begin, TxnId End,
                                std::vector<Violation> &Out);
+
+/// Checks repeatable reads of transaction \p Id alone (nothing if it
+/// aborted) in O(reads · log reads), appending its violations to \p Out.
+/// Returns true iff it added no violation.
+bool checkRepeatableReadsTxn(const History &H, TxnId Id,
+                             ReadCheckScratch &Scratch,
+                             std::vector<Violation> &Out);
 
 /// Checks whether \p H satisfies Read Atomic. Appends violations to \p Out
 /// (at most \p MaxWitnesses cycle witnesses) and returns true iff

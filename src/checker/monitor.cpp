@@ -172,16 +172,13 @@ bool Monitor::deriveTxn(TxnId Local) {
   Transaction &T = Live.Txns[Local];
   T.Reads.clear();
 
-  std::vector<Key> WrittenKeys;
   bool AllWritersClosed = true;
   uint64_t ReaderTag = static_cast<uint64_t>(toMonitorId(Local)) << 32;
 
   for (uint32_t OpIdx = 0; OpIdx < T.Ops.size(); ++OpIdx) {
     const Operation &Op = T.Ops[OpIdx];
-    if (Op.isWrite()) {
-      WrittenKeys.push_back(Op.K);
+    if (Op.isWrite())
       continue;
-    }
     ReadInfo RI{OpIdx, Op.K, Op.V, NoTxn, NoOp};
     bool Masked = EvictedWriterMask.count(ReaderTag | OpIdx) != 0;
     if (!Masked) {
@@ -216,10 +213,7 @@ bool Monitor::deriveTxn(TxnId Local) {
     }
   }
 
-  std::sort(WrittenKeys.begin(), WrittenKeys.end());
-  WrittenKeys.erase(std::unique(WrittenKeys.begin(), WrittenKeys.end()),
-                    WrittenKeys.end());
-  T.WriteKeys = std::move(WrittenKeys);
+  deriveWriteKeys(T, KeyScratch);
   classifyExternalReads(Local);
   return AllWritersClosed;
 }
@@ -228,18 +222,15 @@ void Monitor::classifyExternalReads(TxnId Local) {
   Transaction &T = Live.Txns[Local];
   T.ExtReads.clear();
   T.ReadFroms.clear();
-  std::vector<TxnId> SeenWriters;
   for (uint32_t ReadIdx = 0; ReadIdx < T.Reads.size(); ++ReadIdx) {
     const ReadInfo &RI = T.Reads[ReadIdx];
     if (RI.Writer == NoTxn || RI.Writer == Local ||
         Meta[RI.Writer].Open || !Live.Txns[RI.Writer].Committed)
       continue;
     T.ExtReads.push_back(ReadIdx);
-    if (std::find(SeenWriters.begin(), SeenWriters.end(), RI.Writer) ==
-        SeenWriters.end()) {
-      SeenWriters.push_back(RI.Writer);
+    if (std::find(T.ReadFroms.begin(), T.ReadFroms.end(), RI.Writer) ==
+        T.ReadFroms.end())
       T.ReadFroms.push_back(RI.Writer);
-    }
   }
 }
 
@@ -370,14 +361,18 @@ void Monitor::flush(bool Final) {
   // Read-level axioms for the affected transactions. Thin-air reads are
   // withheld until the stream ends: the write may simply not have arrived
   // yet (they are tracked in PendingReads meanwhile).
-  for (TxnId L : Ready) {
-    std::vector<Violation> Tmp;
-    checkReadConsistencyRange(Live, L, L + 1, Tmp);
-    if (Opts.Level == IsolationLevel::ReadAtomic)
-      checkRepeatableReadsRange(Live, L, L + 1, Tmp);
-    for (Violation &V : Tmp)
-      if (V.Kind != ViolationKind::ThinAirRead)
-        Found.push_back(std::move(V));
+  {
+    AWDIT_SPAN("flush.read_check");
+    for (TxnId L : Ready) {
+      checkReadConsistencyTxn(Live, L, ReadScratch, Found);
+      if (Opts.Level == IsolationLevel::ReadAtomic)
+        checkRepeatableReadsTxn(Live, L, ReadScratch, Found);
+    }
+    Found.erase(std::remove_if(Found.begin(), Found.end(),
+                               [](const Violation &V) {
+                                 return V.Kind == ViolationKind::ThinAirRead;
+                               }),
+                Found.end());
   }
 
   // Thin-air reads are never reported here. Without evictions the
@@ -1164,6 +1159,7 @@ bool Monitor::loadStateImpl(ByteReader &R, std::string *Err,
     T.WriteKeys.resize(NumWk);
     for (Key &K : T.WriteKeys)
       K = R.u64();
+    indexLastWrites(T);
     if (!C) {
       uint64_t NumRf = R.u64();
       if (!R.checkCount(NumRf, 4))

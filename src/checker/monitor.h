@@ -37,6 +37,7 @@
 #define AWDIT_CHECKER_MONITOR_H
 
 #include "checker/checker.h"
+#include "checker/read_consistency.h"
 #include "checker/saturation_state.h"
 #include "checker/violation_sink.h"
 #include "history/history.h"
@@ -463,6 +464,10 @@ private:
   /// Delivered violations in monitor ids (the windowed finalize report),
   /// capped at MaxWindowedReportViolations.
   std::vector<Violation> StreamReported;
+
+  /// Reused buffers of deriveTxn and the per-flush read-level checks.
+  std::vector<Key> KeyScratch;
+  ReadCheckScratch ReadScratch;
 
   MonitorStats Stats;
   /// Host-local flush telemetry (see flushLatency()); never serialized.

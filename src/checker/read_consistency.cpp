@@ -2,38 +2,9 @@
 
 #include "checker/read_consistency.h"
 
-#include <unordered_map>
+#include <algorithm>
 
 using namespace awdit;
-
-namespace {
-
-/// Lazily computed per-transaction map key -> op index of the final write
-/// to that key. Shared across all reads from the same writer so the
-/// observe-latest-write check stays linear overall.
-class FinalWriteIndex {
-public:
-  explicit FinalWriteIndex(const std::vector<Transaction> &Txns)
-      : Txns(Txns) {}
-
-  uint32_t finalWriteOp(TxnId Writer, Key K) {
-    auto [It, Inserted] = Cache.try_emplace(Writer);
-    if (Inserted) {
-      const Transaction &T = Txns[Writer];
-      for (uint32_t OpIdx = 0; OpIdx < T.Ops.size(); ++OpIdx)
-        if (T.Ops[OpIdx].isWrite())
-          It->second[T.Ops[OpIdx].K] = OpIdx;
-    }
-    auto KeyIt = It->second.find(K);
-    return KeyIt == It->second.end() ? NoOp : KeyIt->second;
-  }
-
-private:
-  const std::vector<Transaction> &Txns;
-  std::unordered_map<TxnId, std::unordered_map<Key, uint32_t>> Cache;
-};
-
-} // namespace
 
 bool awdit::checkReadConsistency(const History &H,
                                  std::vector<Violation> &Out) {
@@ -44,68 +15,76 @@ bool awdit::checkReadConsistency(const History &H,
 bool awdit::checkReadConsistencyRange(const History &H, TxnId Begin,
                                       TxnId End, std::vector<Violation> &Out) {
   size_t Before = Out.size();
+  ReadCheckScratch Scratch;
+  for (TxnId Id = Begin; Id < End; ++Id)
+    checkReadConsistencyTxn(H, Id, Scratch, Out);
+  return Out.size() == Before;
+}
+
+bool awdit::checkReadConsistencyTxn(const History &H, TxnId Id,
+                                    ReadCheckScratch &Scratch,
+                                    std::vector<Violation> &Out) {
   const std::vector<Transaction> &Txns = H.transactions();
-  FinalWriteIndex FinalWrites(Txns);
+  const Transaction &T = Txns[Id];
+  if (!T.Committed || T.Reads.empty())
+    return true;
+  size_t Before = Out.size();
 
-  for (TxnId Id = Begin; Id < End; ++Id) {
-    const Transaction &T = Txns[Id];
-    if (!T.Committed)
+  // Own writes as sorted (key, op index) pairs: the latest own write to x
+  // po-before a read is the entry just below (x, read's op index). Used
+  // for the own-write axioms (Fig. 2c/2d/2e same-txn).
+  std::vector<std::pair<Key, uint32_t>> &OwnWrites = Scratch.ByKey;
+  OwnWrites.clear();
+  for (uint32_t OpIdx = 0; OpIdx < T.Ops.size(); ++OpIdx)
+    if (T.Ops[OpIdx].isWrite())
+      OwnWrites.emplace_back(T.Ops[OpIdx].K, OpIdx);
+  std::sort(OwnWrites.begin(), OwnWrites.end());
+  auto LatestOwnWriteBefore = [&OwnWrites](Key K, uint32_t OpIdx) {
+    auto It = std::lower_bound(OwnWrites.begin(), OwnWrites.end(),
+                               std::make_pair(K, OpIdx));
+    if (It == OwnWrites.begin() || (--It)->first != K)
+      return NoOp;
+    return It->second;
+  };
+
+  for (const ReadInfo &RI : T.Reads) {
+    uint32_t OpIdx = RI.OpIndex;
+    // (a) No thin-air reads.
+    if (RI.Writer == NoTxn) {
+      Out.push_back({ViolationKind::ThinAirRead, Id, OpIdx, NoTxn, {}});
       continue;
+    }
+    // (b) No aborted reads.
+    if (!Txns[RI.Writer].Committed) {
+      Out.push_back({ViolationKind::AbortedRead, Id, OpIdx, RI.Writer, {}});
+      continue;
+    }
 
-    // latestWrite[x]: op index of the latest own write to x seen so far in
-    // the po scan; used for the own-write axioms (Fig. 2c/2d/2e same-txn).
-    std::unordered_map<Key, uint32_t> LatestOwnWrite;
-    size_t NextRead = 0;
-    for (uint32_t OpIdx = 0; OpIdx < T.Ops.size(); ++OpIdx) {
-      const Operation &Op = T.Ops[OpIdx];
-      if (Op.isWrite()) {
-        LatestOwnWrite[Op.K] = OpIdx;
+    uint32_t OwnWrite = LatestOwnWriteBefore(RI.K, OpIdx);
+    if (RI.Writer == Id) {
+      // (c) No future reads: the observed own write must be po-earlier.
+      if (RI.WriterOp > OpIdx) {
+        Out.push_back({ViolationKind::FutureRead, Id, OpIdx, Id, {}});
         continue;
       }
-      const ReadInfo &RI = T.Reads[NextRead++];
-
-      // (a) No thin-air reads.
-      if (RI.Writer == NoTxn) {
-        Out.push_back({ViolationKind::ThinAirRead, Id, OpIdx, NoTxn, {}});
-        continue;
-      }
-      // (b) No aborted reads.
-      if (!Txns[RI.Writer].Committed) {
+      // (e, same txn) Observe latest own write.
+      if (OwnWrite != RI.WriterOp)
         Out.push_back(
-            {ViolationKind::AbortedRead, Id, OpIdx, RI.Writer, {}});
+            {ViolationKind::NotLatestWriteSameTxn, Id, OpIdx, Id, {}});
+    } else {
+      // (d) Observe own writes: reading externally is wrong if an own
+      // po-earlier write to the key exists.
+      if (OwnWrite != NoOp) {
+        Out.push_back(
+            {ViolationKind::NotOwnWrite, Id, OpIdx, RI.Writer, {}});
         continue;
       }
-
-      auto OwnIt = LatestOwnWrite.find(Op.K);
-      if (RI.Writer == Id) {
-        // (c) No future reads: the observed own write must be po-earlier.
-        if (RI.WriterOp > OpIdx) {
-          Out.push_back({ViolationKind::FutureRead, Id, OpIdx, Id, {}});
-          continue;
-        }
-        // (e, same txn) Observe latest own write.
-        if (OwnIt == LatestOwnWrite.end() || OwnIt->second != RI.WriterOp) {
-          Out.push_back(
-              {ViolationKind::NotLatestWriteSameTxn, Id, OpIdx, Id, {}});
-          continue;
-        }
-      } else {
-        // (d) Observe own writes: reading externally is wrong if an own
-        // po-earlier write to the key exists.
-        if (OwnIt != LatestOwnWrite.end()) {
-          Out.push_back(
-              {ViolationKind::NotOwnWrite, Id, OpIdx, RI.Writer, {}});
-          continue;
-        }
-        // (e, other txn) Observe latest write: the observed write must be
-        // the final write to the key inside the writer transaction.
-        if (FinalWrites.finalWriteOp(RI.Writer, Op.K) != RI.WriterOp) {
-          Out.push_back({ViolationKind::NotLatestWriteOtherTxn, Id, OpIdx,
-                         RI.Writer,
-                         {}});
-          continue;
-        }
-      }
+      // (e, other txn) Observe latest write: the observed write must be
+      // the final write to the key inside the writer transaction.
+      if (Txns[RI.Writer].lastWriteOp(RI.K) != RI.WriterOp)
+        Out.push_back({ViolationKind::NotLatestWriteOtherTxn, Id, OpIdx,
+                       RI.Writer,
+                       {}});
     }
   }
   return Out.size() == Before;

@@ -129,20 +129,18 @@ std::optional<History> HistoryBuilder::build(std::string *Err) const {
   // Resolve reads and derive per-transaction indices.
   size_t TotalOps = 0;
   size_t CommittedCount = 0;
+  std::vector<Key> KeyScratch;
   for (size_t I = 0; I < H.Txns.size(); ++I) {
     Transaction &T = H.Txns[I];
     TotalOps += T.Ops.size();
     if (T.Committed)
       ++CommittedCount;
 
-    std::unordered_set<Key> WrittenKeys;
     std::unordered_set<TxnId> SeenWriters;
     for (uint32_t OpIdx = 0; OpIdx < T.Ops.size(); ++OpIdx) {
       const Operation &Op = T.Ops[OpIdx];
-      if (Op.isWrite()) {
-        WrittenKeys.insert(Op.K);
+      if (Op.isWrite())
         continue;
-      }
       ReadInfo RI{OpIdx, Op.K, Op.V, NoTxn, NoOp};
       if (const WriteSite *Site = WriteIndex.find(Op.K, Op.V)) {
         RI.Writer = Site->T;
@@ -159,8 +157,7 @@ std::optional<History> HistoryBuilder::build(std::string *Err) const {
           T.ReadFroms.push_back(RI.Writer);
       }
     }
-    T.WriteKeys.assign(WrittenKeys.begin(), WrittenKeys.end());
-    std::sort(T.WriteKeys.begin(), T.WriteKeys.end());
+    deriveWriteKeys(T, KeyScratch);
   }
 
   H.TotalOps = TotalOps;

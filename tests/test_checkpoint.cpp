@@ -13,6 +13,7 @@
 
 #include "checker/checkpoint.h"
 #include "checker/monitor.h"
+#include "checker/read_consistency.h"
 #include "checker/violation_sink.h"
 #include "io/dbcop_format.h"
 #include "io/plume_format.h"
@@ -342,6 +343,81 @@ TEST(Checkpoint, ForceAbortStateSurvivesDirectSaveLoad) {
   EXPECT_EQ(SinkA.Descriptions.size(),
             SinkB.Descriptions.size() + 0); // A saw none before the cut
   EXPECT_EQ(SinkA.Descriptions, SinkB.Descriptions);
+}
+
+/// The late bulk writer: a windowed CC stream in which many readers wait
+/// for a writer that arrives last, and whose final pass resolves them all.
+/// The writer writes key 1000 twice; one waiting reader and one reader
+/// after the writer observe the overwritten value. Exactly those two reads
+/// are NotLatestWriteOtherTxn, as on the full history. Resuming from every
+/// checkpoint taken after the writer closed must re-derive the writer's
+/// final-write index on load: the later readers are checked against it.
+TEST(Checkpoint, LateBulkWriterFinalWritesSurviveResume) {
+  constexpr int Filler = 200, Waiting = 100, After = 40, WriterKeys = 150;
+  std::string Text;
+  for (int I = 0; I < Filler; ++I) {
+    Text += "b 0\n";
+    if (I > 0)
+      Text += "r 1 " + std::to_string(I) + "\n";
+    Text += "w 1 " + std::to_string(I + 1) + "\nc\n";
+  }
+  // Key 1000 + J holds value 5000 + J once the writer is done; 1000 first
+  // holds 4999. Each reader reads one key; the middle waiting reader and
+  // the last reader read the overwritten 4999.
+  auto Reader = [&](int Session, int J, bool Stale) {
+    Text += "b " + std::to_string(Session) + "\nr " +
+            (Stale ? std::string("1000 4999")
+                   : std::to_string(1000 + J) + " " +
+                         std::to_string(5000 + J)) +
+            "\nc\n";
+  };
+  for (int I = 0; I < Waiting; ++I)
+    Reader(1 + I % 4, I % WriterKeys, I == Waiting / 2);
+  const size_t WriterTxn = Filler + Waiting;
+  Text += "b 5\nw 1000 4999\n";
+  for (int J = 0; J < WriterKeys; ++J)
+    Text += "w " + std::to_string(1000 + J) + " " +
+            std::to_string(5000 + J) + "\n";
+  Text += "c\n";
+  for (int I = 0; I < After; ++I)
+    Reader(1 + I % 4, (7 * I) % WriterKeys, I == After - 1);
+
+  std::string Err;
+  std::optional<History> H = parseTextHistory(Text, &Err);
+  ASSERT_TRUE(H) << Err;
+  std::vector<Violation> Expected;
+  ASSERT_FALSE(checkReadConsistency(*H, Expected));
+  ASSERT_EQ(Expected.size(), 2u);
+  EXPECT_EQ(Expected[0].T, WriterTxn - Waiting / 2);
+  EXPECT_EQ(Expected[1].T, WriterTxn + After);
+  for (const Violation &V : Expected) {
+    EXPECT_EQ(V.Kind, ViolationKind::NotLatestWriteOtherTxn);
+    EXPECT_EQ(V.Other, WriterTxn);
+  }
+
+  MonitorOptions Options;
+  Options.Level = IsolationLevel::CausalConsistency;
+  Options.Check.Threads = 1;
+  Options.CheckIntervalTxns = 8;
+  Options.WindowTxns = 128;
+
+  ReferenceRun Ref = runWithSnapshots(Text, "native", Options);
+  EXPECT_GT(Ref.Stats.EvictedTxns, 0u);
+  ASSERT_EQ(Ref.Report.Violations.size(), Expected.size());
+  for (size_t I = 0; I < Expected.size(); ++I)
+    expectSameViolation(Ref.Report.Violations[I], Expected[I],
+                        "violation " + std::to_string(I));
+
+  size_t Resumed = 0;
+  for (size_t Idx = 0; Idx < Ref.Snapshots.size(); ++Idx) {
+    const Snapshot &S = Ref.Snapshots[Idx];
+    if (S.Meta.CommittedTxns <= WriterTxn || S.Meta.StreamOffset >= Text.size())
+      continue;
+    resumeAndCompare(Ref, S, Text, "native", Options, /*Threads=*/1,
+                     "late writer snapshot " + std::to_string(Idx));
+    ++Resumed;
+  }
+  EXPECT_GT(Resumed, 2u);
 }
 
 //===----------------------------------------------------------------------===//

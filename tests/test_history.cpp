@@ -99,6 +99,10 @@ TEST(HistoryBuilder, WriteKeysSortedAndDeduped) {
   EXPECT_EQ(T.WriteKeys[2], 9u);
   EXPECT_TRUE(T.writesKey(5));
   EXPECT_FALSE(T.writesKey(4));
+  // The final write to each key: key 5 is written at ops 0 and 2.
+  EXPECT_EQ(T.LastWriteOps, (std::vector<uint32_t>{1, 2, 3}));
+  EXPECT_EQ(T.lastWriteOp(5), 2u);
+  EXPECT_EQ(T.lastWriteOp(4), NoOp);
 }
 
 TEST(HistoryBuilder, ImplicitInitialStateCreatesInitTxn) {

@@ -593,8 +593,8 @@ TEST(Trace, ShardedPipelineLeavesAllStageSpans) {
   ASSERT_TRUE(JsonChecker(Json).valid());
   for (const char *Span :
        {"\"ingest.read\"", "\"ingest.decode\"", "\"ingest.apply\"",
-        "\"flush\"", "\"flush.delta\"", "\"flush.finalize\"",
-        "\"checkpoint.v1\""})
+        "\"flush\"", "\"flush.read_check\"", "\"flush.delta\"",
+        "\"flush.finalize\"", "\"checkpoint.v1\""})
     EXPECT_NE(Json.find(Span), std::string::npos) << "missing " << Span;
   // Worker threads named their tracks.
   EXPECT_NE(Json.find("\"applier\""), std::string::npos);
