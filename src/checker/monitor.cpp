@@ -36,16 +36,15 @@ Monitor::Monitor(const MonitorOptions &Options, ViolationSink *Sink)
 
 SessionId Monitor::addSession() {
   Live.Sessions.emplace_back();
-  SessionSoBase.push_back(0);
+  Live.SoBase.push_back(0);
   Saturation.addSession();
   return static_cast<SessionId>(Live.Sessions.size() - 1);
 }
 
-TxnId Monitor::toLocal(TxnId MonitorId) const {
-  AWDIT_ASSERT(MonitorId >= Base &&
-                   MonitorId - Base < Live.Txns.size(),
+TxnId Monitor::checkLive(TxnId T) const {
+  AWDIT_ASSERT(T >= Base && T < Live.txnEnd(),
                "Monitor: unknown or evicted transaction id");
-  return MonitorId - Base;
+  return T;
 }
 
 TxnId Monitor::beginTxn(SessionId S) {
@@ -57,12 +56,12 @@ TxnId Monitor::beginTxn(SessionId S) {
   // Open transactions are not yet part of T_c: Committed flips on commit().
   T.Committed = false;
   Live.Txns.push_back(std::move(T));
-  Meta.push_back(TxnMeta{/*Open=*/true, /*Deferred=*/false,
-                         /*Ts=*/CurrentTime});
-  TxnId Local = static_cast<TxnId>(Live.Txns.size() - 1);
-  OpenTxns.insert(Local);
+  Meta.emplace_back();
+  Meta.back().Ts = CurrentTime;
+  TxnId Id = Live.txnEnd() - 1;
+  OpenTxns.insert(Id);
   ++Stats.IngestedTxns;
-  return toMonitorId(Local);
+  return Id;
 }
 
 void Monitor::read(TxnId T, Key K, Value V) {
@@ -76,13 +75,11 @@ bool Monitor::write(TxnId T, Key K, Value V) {
 bool Monitor::append(TxnId T, Operation Op) {
   if (ForceAbortedIds.count(T))
     return true; // the hung transaction was force-aborted; drop quietly
-  TxnId L = toLocal(T);
-  AWDIT_ASSERT(Meta[L].Open, "append: transaction already closed");
-  Keys.insert(Op.K);
-  Live.KeyCount = Keys.size();
+  Transaction &Txn = txnRef(checkLive(T));
+  AWDIT_ASSERT(meta(T).Open, "append: transaction already closed");
   if (Op.isWrite()) {
-    uint32_t OpIdx = static_cast<uint32_t>(Live.Txns[L].Ops.size());
-    if (!Writes.record(Op.K, Op.V, L, OpIdx)) {
+    uint32_t OpIdx = static_cast<uint32_t>(Txn.Ops.size());
+    if (!Writes.record(Op.K, Op.V, T, OpIdx)) {
       if (ErrText.empty())
         ErrText = duplicateWriteMessage(Op.K, Op.V);
       return false;
@@ -99,7 +96,8 @@ bool Monitor::append(TxnId T, Operation Op) {
       PendingReads.erase(It);
     }
   }
-  Live.Txns[L].Ops.push_back(Op);
+  Txn.Ops.push_back(Op);
+  countKey(Op.K);
   ++Live.TotalOps;
   ++Stats.IngestedOps;
   return true;
@@ -108,13 +106,13 @@ bool Monitor::append(TxnId T, Operation Op) {
 void Monitor::commit(TxnId T) {
   if (ForceAbortedIds.count(T))
     return; // already aborted by the force-abort policy
-  closeTxn(toLocal(T), /*Committed=*/true);
+  closeTxn(checkLive(T), /*Committed=*/true);
 }
 
 void Monitor::abortTxn(TxnId T) {
   if (ForceAbortedIds.count(T))
     return; // already aborted by the force-abort policy
-  closeTxn(toLocal(T), /*Committed=*/false);
+  closeTxn(checkLive(T), /*Committed=*/false);
 }
 
 void Monitor::advanceTime(uint64_t Now) {
@@ -134,29 +132,30 @@ void Monitor::advanceTime(uint64_t Now) {
     CurrentTime = Now;
 }
 
-void Monitor::closeTxn(TxnId Local, bool Committed) {
-  AWDIT_ASSERT(Meta[Local].Open, "closeTxn: transaction already closed");
-  Meta[Local].Open = false;
-  Meta[Local].Ts = CurrentTime;
-  OpenTxns.erase(Local);
-  Transaction &Txn = Live.Txns[Local];
+void Monitor::closeTxn(TxnId Id, bool Committed) {
+  TxnMeta &M = meta(Id);
+  AWDIT_ASSERT(M.Open, "closeTxn: transaction already closed");
+  M.Open = false;
+  M.Ts = CurrentTime;
+  OpenTxns.erase(Id);
+  Transaction &Txn = txnRef(Id);
   Txn.Committed = Committed;
   if (Committed) {
     std::vector<TxnId> &Sess = Live.Sessions[Txn.Session];
-    Txn.SoIndex = static_cast<uint32_t>(Sess.size());
-    Sess.push_back(Local);
+    Txn.SoIndex = Live.SoBase[Txn.Session] + static_cast<uint32_t>(Sess.size());
+    Sess.push_back(Id);
     ++Live.CommittedCount;
     ++Stats.CommittedTxns;
   }
 
   // Resolve this transaction's reads and schedule its checking.
-  if (!deriveTxn(Local))
-    Meta[Local].Deferred = true;
-  Dirty.insert(Local);
+  if (!deriveTxn(Id))
+    meta(Id).Deferred = true;
+  Dirty.insert(Id);
 
   // Wake readers that resolved to this transaction while it was open:
   // its commit status is now known.
-  auto It = WaitersOnClose.find(Local);
+  auto It = WaitersOnClose.find(Id);
   if (It != WaitersOnClose.end()) {
     for (TxnId Reader : It->second)
       Dirty.insert(Reader);
@@ -168,19 +167,17 @@ void Monitor::closeTxn(TxnId Local, bool Committed) {
     flush(/*Final=*/false);
 }
 
-bool Monitor::deriveTxn(TxnId Local) {
-  Transaction &T = Live.Txns[Local];
+bool Monitor::deriveTxn(TxnId Id) {
+  Transaction &T = txnRef(Id);
   T.Reads.clear();
 
   bool AllWritersClosed = true;
-  uint64_t ReaderTag = static_cast<uint64_t>(toMonitorId(Local)) << 32;
-
   for (uint32_t OpIdx = 0; OpIdx < T.Ops.size(); ++OpIdx) {
     const Operation &Op = T.Ops[OpIdx];
     if (Op.isWrite())
       continue;
     ReadInfo RI{OpIdx, Op.K, Op.V, NoTxn, NoOp};
-    bool Masked = EvictedWriterMask.count(ReaderTag | OpIdx) != 0;
+    bool Masked = maskedWriter(Id, OpIdx) != nullptr;
     if (!Masked) {
       if (const WriteSite *Site = Writes.find(Op.K, Op.V)) {
         RI.Writer = Site->T;
@@ -195,37 +192,48 @@ bool Monitor::deriveTxn(TxnId Local) {
         std::vector<std::pair<TxnId, uint32_t>> &Waiters =
             PendingReads[KeyValue{Op.K, Op.V}];
         if (std::find(Waiters.begin(), Waiters.end(),
-                      std::make_pair(Local, OpIdx)) == Waiters.end()) {
-          Waiters.emplace_back(Local, OpIdx);
+                      std::make_pair(Id, OpIdx)) == Waiters.end()) {
+          Waiters.emplace_back(Id, OpIdx);
           ++Stats.UnresolvedReads;
         }
       }
       continue;
     }
-    if (RI.Writer == Local)
+    if (RI.Writer == Id)
       continue; // Internal read; never external.
-    if (Meta[RI.Writer].Open) {
+    noteReader(RI.Writer, Id, static_cast<uint32_t>(T.Reads.size() - 1));
+    if (meta(RI.Writer).Open) {
       // The writer's commit status is unknown; re-derive when it closes.
       AllWritersClosed = false;
       std::vector<TxnId> &Waiters = WaitersOnClose[RI.Writer];
-      if (std::find(Waiters.begin(), Waiters.end(), Local) == Waiters.end())
-        Waiters.push_back(Local);
+      if (std::find(Waiters.begin(), Waiters.end(), Id) == Waiters.end())
+        Waiters.push_back(Id);
     }
   }
 
   deriveWriteKeys(T, KeyScratch);
-  classifyExternalReads(Local);
+  classifyExternalReads(Id);
   return AllWritersClosed;
 }
 
-void Monitor::classifyExternalReads(TxnId Local) {
-  Transaction &T = Live.Txns[Local];
+const uint64_t *Monitor::maskedWriter(TxnId Id, uint32_t OpIdx) const {
+  const std::vector<std::pair<uint32_t, uint64_t>> &Masked = meta(Id).Masked;
+  auto It = std::lower_bound(
+      Masked.begin(), Masked.end(), OpIdx,
+      [](const std::pair<uint32_t, uint64_t> &E, uint32_t Op) {
+        return E.first < Op;
+      });
+  return It != Masked.end() && It->first == OpIdx ? &It->second : nullptr;
+}
+
+void Monitor::classifyExternalReads(TxnId Id) {
+  Transaction &T = txnRef(Id);
   T.ExtReads.clear();
   T.ReadFroms.clear();
   for (uint32_t ReadIdx = 0; ReadIdx < T.Reads.size(); ++ReadIdx) {
     const ReadInfo &RI = T.Reads[ReadIdx];
-    if (RI.Writer == NoTxn || RI.Writer == Local ||
-        Meta[RI.Writer].Open || !Live.Txns[RI.Writer].Committed)
+    if (RI.Writer == NoTxn || RI.Writer == Id || meta(RI.Writer).Open ||
+        !txnRef(RI.Writer).Committed)
       continue;
     T.ExtReads.push_back(ReadIdx);
     if (std::find(T.ReadFroms.begin(), T.ReadFroms.end(), RI.Writer) ==
@@ -259,9 +267,10 @@ void Monitor::adopt(const History &H) {
   // materialized lazily, only if streaming or checking continues (the
   // adopt-then-finalize wrapper never needs it).
   Live = H;
-  Meta.assign(Live.Txns.size(),
-              TxnMeta{/*Open=*/false, /*Deferred=*/false, /*Ts=*/0});
-  SessionSoBase.assign(Live.Sessions.size(), 0);
+  TxnMeta Closed;
+  Closed.Open = false;
+  Meta.assign(Live.Txns.size(), Closed);
+  Live.SoBase.assign(Live.Sessions.size(), 0);
   for (size_t S = 0; S < Live.Sessions.size(); ++S)
     Saturation.addSession();
   AdoptedIndexPending = true;
@@ -274,19 +283,44 @@ void Monitor::ensureAdoptedIndex() {
   if (!AdoptedIndexPending)
     return;
   AdoptedIndexPending = false;
-  // Populate the write index and key universe so new ingestion resolves
-  // (and duplicate-detects) against the adopted writes, and queue the
-  // adopted transactions as the saturation engine's first delta.
-  for (TxnId L = 0; L < static_cast<TxnId>(Live.Txns.size()); ++L) {
-    const Transaction &T = Live.Txns[L];
+  // Populate the write index, key universe and reader index so new
+  // ingestion resolves (and duplicate-detects) against the adopted writes,
+  // and queue the adopted transactions as the saturation engine's first
+  // delta.
+  for (TxnId Id = Base; Id < Live.txnEnd(); ++Id) {
+    const Transaction &T = txnRef(Id);
     for (uint32_t OpIdx = 0; OpIdx < T.Ops.size(); ++OpIdx) {
       const Operation &Op = T.Ops[OpIdx];
-      Keys.insert(Op.K);
+      countKey(Op.K);
       if (Op.isWrite())
-        Writes.record(Op.K, Op.V, L, OpIdx);
+        Writes.record(Op.K, Op.V, Id, OpIdx);
     }
     if (T.Committed)
-      AdoptedReady.push_back(L);
+      AdoptedReady.push_back(Id);
+  }
+  indexReaders();
+}
+
+void Monitor::countKey(Key K) {
+  ++KeyRefs[K];
+  Live.KeyCount = KeyRefs.size();
+}
+
+void Monitor::noteReader(TxnId Writer, TxnId Reader, uint32_t ReadIdx) {
+  std::vector<std::pair<TxnId, uint32_t>> &Readers = meta(Writer).Readers;
+  if (Readers.empty() || Readers.back() != std::make_pair(Reader, ReadIdx))
+    Readers.emplace_back(Reader, ReadIdx);
+}
+
+void Monitor::indexReaders() {
+  for (TxnId Id = Base; Id < Live.txnEnd(); ++Id) {
+    const std::vector<ReadInfo> &Reads = txnRef(Id).Reads;
+    for (uint32_t ReadIdx = 0; ReadIdx < Reads.size(); ++ReadIdx) {
+      TxnId Writer = Reads[ReadIdx].Writer;
+      if (Writer != NoTxn && Writer != Id && Writer >= Base &&
+          Writer < Live.txnEnd())
+        noteReader(Writer, Id, ReadIdx);
+    }
   }
 }
 
@@ -295,11 +329,12 @@ History Monitor::takeHistory() {
   AWDIT_ASSERT(Stats.EvictedTxns == 0,
                "takeHistory: window was evicted; the history is partial");
   Finalized = true;
-  for (size_t L = 0; L < Meta.size(); ++L)
-    AWDIT_ASSERT(!Meta[L].Open, "takeHistory: transaction still open");
-  for (TxnId L : Dirty)
-    deriveTxn(L);
+  for (size_t I = 0; I < Meta.size(); ++I)
+    AWDIT_ASSERT(!Meta[I].Open, "takeHistory: transaction still open");
+  for (TxnId Id : Dirty)
+    deriveTxn(Id);
   Dirty.clear();
+  Live.SoBase.clear();
   return std::move(Live);
 }
 
@@ -312,16 +347,16 @@ void Monitor::forceAbortHung() {
   if (!Opts.ForceAbortOpenTicks || !HasTime)
     return;
   std::vector<TxnId> Hung;
-  for (TxnId L : OpenTxns)
-    if (CurrentTime - Meta[L].Ts >= Opts.ForceAbortOpenTicks)
-      Hung.push_back(L);
-  for (TxnId L : Hung) {
+  for (TxnId Id : OpenTxns)
+    if (CurrentTime - meta(Id).Ts >= Opts.ForceAbortOpenTicks)
+      Hung.push_back(Id);
+  for (TxnId Id : Hung) {
     // The session may come back and keep using the handle: remember the
-    // monitor id forever (one entry per forced abort) so late operations
-    // and the eventual commit/abort are dropped instead of touching a
-    // closed — possibly already evicted — transaction.
-    ForceAbortedIds.insert(toMonitorId(L));
-    closeTxn(L, /*Committed=*/false);
+    // id forever (one entry per forced abort) so late operations and the
+    // eventual commit/abort are dropped instead of touching a closed —
+    // possibly already evicted — transaction.
+    ForceAbortedIds.insert(Id);
+    closeTxn(Id, /*Committed=*/false);
     ++Stats.ForcedAborts;
   }
 }
@@ -341,17 +376,17 @@ void Monitor::flush(bool Final) {
   std::vector<TxnId> Ready;
   Ready.swap(AdoptedReady);
   std::vector<TxnId> DirtyNow(Dirty.begin(), Dirty.end());
-  for (TxnId L : DirtyNow) {
-    if (Meta[L].Open)
+  for (TxnId Id : DirtyNow) {
+    if (meta(Id).Open)
       continue;
-    if (!deriveTxn(L)) {
-      Meta[L].Deferred = true;
+    if (!deriveTxn(Id)) {
+      meta(Id).Deferred = true;
       continue;
     }
-    Meta[L].Deferred = false;
-    Dirty.erase(L);
-    if (Live.Txns[L].Committed)
-      Ready.push_back(L);
+    meta(Id).Deferred = false;
+    Dirty.erase(Id);
+    if (txnRef(Id).Committed)
+      Ready.push_back(Id);
   }
   std::sort(Ready.begin(), Ready.end());
   Ready.erase(std::unique(Ready.begin(), Ready.end()), Ready.end());
@@ -363,10 +398,10 @@ void Monitor::flush(bool Final) {
   // yet (they are tracked in PendingReads meanwhile).
   {
     AWDIT_SPAN("flush.read_check");
-    for (TxnId L : Ready) {
-      checkReadConsistencyTxn(Live, L, ReadScratch, Found);
+    for (TxnId Id : Ready) {
+      checkReadConsistencyTxn(Live, Id, ReadScratch, Found);
       if (Opts.Level == IsolationLevel::ReadAtomic)
-        checkRepeatableReadsTxn(Live, L, ReadScratch, Found);
+        checkRepeatableReadsTxn(Live, Id, ReadScratch, Found);
     }
     Found.erase(std::remove_if(Found.begin(), Found.end(),
                                [](const Violation &V) {
@@ -390,20 +425,21 @@ void Monitor::flush(bool Final) {
   uint64_t FinalizeT0 = obs::traceNowNanos();
   {
     AWDIT_SPAN("flush.finalize");
-    for (Violation &V : Found) {
-      translateToMonitorIds(V);
+    for (Violation &V : Found)
       emitViolation(std::move(V));
-    }
-
     Stats.GraphEdges = Saturation.numGraphEdges();
     Stats.InferredEdges = Saturation.numInferredEdges();
-    if (!Final)
-      maybeEvict();
-    Stats.LiveTxns = Live.numTxns();
   }
+  uint64_t EvictT0 = obs::traceNowNanos();
+  if (!Final) {
+    AWDIT_SPAN("flush.evict");
+    maybeEvict();
+  }
+  Stats.LiveTxns = Live.txnEnd() - Base;
 
   // Phase accounting: the derive + read-level segment above counts toward
-  // delta-build, the saturation pass splits itself, the tail is finalize.
+  // delta-build, the saturation pass splits itself, then finalize (emit)
+  // and evict.
   SaturationState::FlushPhaseNanos Ph = Saturation.takeFlushPhaseNanos();
   uint64_t Phases[obs::NumFlushPhases] = {};
   Phases[unsigned(obs::FlushPhase::DeltaBuild)] =
@@ -411,8 +447,9 @@ void Monitor::flush(bool Final) {
   Phases[unsigned(obs::FlushPhase::Speculate)] = Ph.Speculate / 1000;
   Phases[unsigned(obs::FlushPhase::Merge)] = Ph.Merge / 1000;
   Phases[unsigned(obs::FlushPhase::Pk)] = Ph.Pk / 1000;
-  Phases[unsigned(obs::FlushPhase::Finalize)] =
-      (obs::traceNowNanos() - FinalizeT0) / 1000;
+  Phases[unsigned(obs::FlushPhase::Finalize)] = (EvictT0 - FinalizeT0) / 1000;
+  Phases[unsigned(obs::FlushPhase::Evict)] =
+      (obs::traceNowNanos() - EvictT0) / 1000;
   obs::PipelineMetrics &M = obs::metrics();
   for (unsigned I = 0; I < obs::NumFlushPhases; ++I) {
     M.FlushPhases[I].record(Phases[I]);
@@ -425,17 +462,6 @@ void Monitor::flush(bool Final) {
   M.FlushTotal.record(FlushMicros);
   FlushHist.record(FlushMicros);
   Stats.FlushMicros += FlushMicros;
-}
-
-void Monitor::translateToMonitorIds(Violation &V) const {
-  if (V.T != NoTxn)
-    V.T += Base;
-  if (V.Other != NoTxn)
-    V.Other += Base;
-  for (WitnessEdge &E : V.Cycle) {
-    E.From += Base;
-    E.To += Base;
-  }
 }
 
 std::string Monitor::fingerprint(const Violation &V) {
@@ -473,7 +499,7 @@ bool Monitor::emitViolation(Violation V) {
 }
 
 void Monitor::maybeEvict() {
-  size_t LiveTxns = Live.numTxns();
+  size_t LiveTxns = Live.txnEnd() - Base;
   size_t Target = 0;
   if (Opts.WindowTxns && LiveTxns > Opts.WindowTxns)
     Target = LiveTxns - Opts.WindowTxns;
@@ -484,8 +510,8 @@ void Monitor::maybeEvict() {
     // Age horizon: the closed prefix whose close timestamps fell out of
     // the window. Bounded by the first open transaction anyway.
     uint64_t Horizon = CurrentTime - Opts.WindowAgeTicks;
-    while (AgeTarget < LiveTxns && !Meta[AgeTarget].Open &&
-           Meta[AgeTarget].Ts < Horizon)
+    while (AgeTarget < LiveTxns && !meta(Base + AgeTarget).Open &&
+           meta(Base + AgeTarget).Ts < Horizon)
       ++AgeTarget;
     Target = std::max(Target, AgeTarget);
   }
@@ -493,166 +519,139 @@ void Monitor::maybeEvict() {
     return;
 
   // Only a prefix of fully processed transactions can leave: stop at the
-  // first still-open or still-dirty one.
-  size_t Evictable = Dirty.empty() ? LiveTxns
-                                   : static_cast<size_t>(*Dirty.begin());
-  size_t ClosedPrefix = 0;
-  while (ClosedPrefix < Evictable && !Meta[ClosedPrefix].Open)
-    ++ClosedPrefix;
-  size_t Count = std::min(Target, ClosedPrefix);
+  // first still-open or still-dirty one. The prefix must also be closed
+  // under so predecessors — a session that commits out of begin order
+  // waits until its earlier-committed members can go too — so every
+  // session loses an so prefix and survivors keep their so positions.
+  size_t Limit = std::min(Target, Dirty.empty()
+                                      ? LiveTxns
+                                      : static_cast<size_t>(*Dirty.begin() -
+                                                            Base));
+  size_t Count = 0;
+  TxnId MaxPred = 0;
+  for (size_t I = 0; I < Limit && !meta(Base + I).Open; ++I) {
+    const Transaction &T = txnRef(Base + I);
+    if (T.Committed && T.SoIndex > Live.SoBase[T.Session])
+      MaxPred = std::max(MaxPred, Live.sessionMember(T.Session, T.SoIndex - 1));
+    if (MaxPred <= Base + I)
+      Count = I + 1;
+  }
   if (Count > 0) {
     Stats.AgeEvictedTxns += std::min(Count, AgeTarget);
-    compact(Count);
+    evict(static_cast<TxnId>(Base + Count));
   }
 }
 
-void Monitor::compact(size_t Count) {
+void Monitor::evict(TxnId NewBase) {
   ++Stats.Compactions;
-  Stats.EvictedTxns += Count;
-  TxnId Cut = static_cast<TxnId>(Count);
+  Stats.EvictedTxns += NewBase - Base;
 
-  // The saturation engine compacts its persisted state first: it needs
-  // the pre-eviction window (session lists, derived reads) to compute the
-  // per-session position shifts.
-  Saturation.compact(Live, Cut);
+  // The saturation engine evicts its persisted state first: it reads the
+  // evicted transactions (sessions, written keys, derived reads).
+  Saturation.evict(Live, NewBase);
 
-  // Window accounting of the evicted prefix.
-  for (size_t L = 0; L < Count; ++L) {
-    const Transaction &T = Live.Txns[L];
+  // Each evicted transaction takes along what it owns: window accounting,
+  // write-index entries, key refcounts, its unresolved and masked reads,
+  // its so-prefix slot of its session.
+  std::vector<SessionId> Shrunk;
+  std::vector<KeyValue> Unresolved;
+  for (TxnId Id = Base; Id < NewBase; ++Id) {
+    Transaction &T = txnRef(Id);
     Live.TotalOps -= T.Ops.size();
-    if (T.Committed)
+    for (const Operation &Op : T.Ops) {
+      auto It = KeyRefs.find(Op.K);
+      if (--It->second == 0)
+        KeyRefs.erase(It);
+      if (Op.isWrite())
+        Writes.erase(Op.K, Op.V);
+    }
+    TxnMeta &M = meta(Id);
+    for (const ReadInfo &RI : T.Reads)
+      if (RI.Writer == NoTxn && !maskedWriter(Id, RI.OpIndex))
+        Unresolved.push_back(KeyValue{RI.K, RI.V});
+    // Reads of this writer by survivors are masked: excluded from
+    // checking, never reported as thin-air. The mask remembers the
+    // original writer so the chunked checkpoint can serialize the read as
+    // it looked before the eviction. The reader's derived external-read
+    // indices lose the read and the writer in place (what re-classifying
+    // its reads would produce).
+    for (auto [Reader, ReadIdx] : M.Readers) {
+      if (Reader < NewBase)
+        continue;
+      Transaction &R = txnRef(Reader);
+      ReadInfo &RI = R.Reads[ReadIdx];
+      if (RI.Writer != Id)
+        continue; // a repeated entry, already masked
+      std::vector<std::pair<uint32_t, uint64_t>> &Masked = meta(Reader).Masked;
+      std::pair<uint32_t, uint64_t> Entry{
+          RI.OpIndex, (static_cast<uint64_t>(Id) << 32) | RI.WriterOp};
+      Masked.insert(std::upper_bound(Masked.begin(), Masked.end(), Entry),
+                    Entry);
+      RI.Writer = NoTxn;
+      RI.WriterOp = NoOp;
+      ++Stats.EvictedWriterReads;
+      auto Ext = std::lower_bound(R.ExtReads.begin(), R.ExtReads.end(),
+                                  ReadIdx);
+      if (Ext != R.ExtReads.end() && *Ext == ReadIdx)
+        R.ExtReads.erase(Ext);
+      auto From = std::find(R.ReadFroms.begin(), R.ReadFroms.end(), Id);
+      if (From != R.ReadFroms.end())
+        R.ReadFroms.erase(From);
+    }
+    if (T.Committed) {
       --Live.CommittedCount;
-  }
-
-  // Write index: entries of evicted writers vanish; the rest rebase.
-  Writes.remapTxns([Cut](TxnId T) {
-    return T < Cut ? NoTxn : static_cast<TxnId>(T - Cut);
-  });
-
-  // Pending reads: evicted readers are dropped (counted), others rebase.
-  for (auto It = PendingReads.begin(); It != PendingReads.end();) {
-    std::vector<std::pair<TxnId, uint32_t>> &Waiters = It->second;
-    size_t Kept = 0;
-    for (auto &[Reader, OpIdx] : Waiters) {
-      if (Reader < Cut) {
-        ++Stats.EvictedUnresolvedReads;
-        --Stats.UnresolvedReads;
-        continue;
-      }
-      Waiters[Kept++] = {static_cast<TxnId>(Reader - Cut), OpIdx};
+      Shrunk.push_back(T.Session);
     }
-    Waiters.resize(Kept);
-    It = Waiters.empty() ? PendingReads.erase(It) : std::next(It);
+    // Evicted transactions can never join a new cycle (their edges are
+    // gone), so their delivery-dedup entries are prunable.
+    ReportedCycleTxns.erase(Id);
+    T = Transaction();
+    M = TxnMeta();
   }
+  Base = NewBase;
 
-  // Close-waiters: keys are open transactions and thus never evicted.
-  {
-    std::unordered_map<TxnId, std::vector<TxnId>> NewWaiters;
-    for (auto &[Writer, Readers] : WaitersOnClose) {
-      AWDIT_ASSERT(Writer >= Cut, "compact: open writer in evicted prefix");
-      std::vector<TxnId> Kept;
-      for (TxnId R : Readers)
-        if (R >= Cut)
-          Kept.push_back(R - Cut);
-      if (!Kept.empty())
-        NewWaiters.emplace(Writer - Cut, std::move(Kept));
-    }
-    WaitersOnClose = std::move(NewWaiters);
-  }
-
-  // Drop the prefix and rebase the survivors' resolved state. Reads whose
-  // writer left the window are masked: excluded from checking, never
-  // reported as thin-air.
-  Live.Txns.erase(Live.Txns.begin(), Live.Txns.begin() + Count);
-  Meta.erase(Meta.begin(), Meta.begin() + Count);
-  uint64_t NewBase = static_cast<uint64_t>(Base) + Count;
-  for (size_t L = 0; L < Live.Txns.size(); ++L) {
-    Transaction &T = Live.Txns[L];
-    bool Changed = false;
-    for (ReadInfo &RI : T.Reads) {
-      if (RI.Writer == NoTxn)
-        continue;
-      if (RI.Writer < Cut) {
-        EvictedWriterMask.emplace(
-            ((NewBase + L) << 32) | RI.OpIndex,
-            (static_cast<uint64_t>(Base + RI.Writer) << 32) | RI.WriterOp);
-        RI.Writer = NoTxn;
-        RI.WriterOp = NoOp;
-        ++Stats.EvictedWriterReads;
-        Changed = true;
-      } else {
-        RI.Writer -= Cut;
-      }
-    }
-    if (!Changed && T.ExtReads.empty())
+  // Unresolved reads of evicted readers are dropped (counted) in one pass
+  // per (key, value).
+  std::sort(Unresolved.begin(), Unresolved.end(),
+            [](const KeyValue &A, const KeyValue &B) {
+              return A.K != B.K ? A.K < B.K : A.V < B.V;
+            });
+  Unresolved.erase(std::unique(Unresolved.begin(), Unresolved.end()),
+                   Unresolved.end());
+  for (const KeyValue &KV : Unresolved) {
+    auto It = PendingReads.find(KV);
+    if (It == PendingReads.end())
       continue;
-    // Rebuild the derived external-read indices from the rebased reads.
-    classifyExternalReads(static_cast<TxnId>(L));
+    std::vector<std::pair<TxnId, uint32_t>> &Waiters = It->second;
+    auto Kept = std::remove_if(
+        Waiters.begin(), Waiters.end(),
+        [&](const std::pair<TxnId, uint32_t> &W) { return W.first < Base; });
+    uint64_t Dropped = static_cast<uint64_t>(Waiters.end() - Kept);
+    Stats.EvictedUnresolvedReads += Dropped;
+    Stats.UnresolvedReads -= Dropped;
+    Waiters.erase(Kept, Waiters.end());
+    if (Waiters.empty())
+      PendingReads.erase(It);
   }
 
-  // Session lists: drop evicted members, rebase the rest, reassign so
-  // positions, and remember how many so slots each session lost (labels).
-  for (SessionId S = 0; S < Live.Sessions.size(); ++S) {
+  // Each session lost an so prefix (see maybeEvict): drop it in one go.
+  std::sort(Shrunk.begin(), Shrunk.end());
+  Shrunk.erase(std::unique(Shrunk.begin(), Shrunk.end()), Shrunk.end());
+  for (SessionId S : Shrunk) {
     std::vector<TxnId> &Sess = Live.Sessions[S];
-    size_t Kept = 0, Removed = 0;
-    for (size_t Pos = 0; Pos < Sess.size(); ++Pos) {
-      TxnId L = Sess[Pos];
-      if (L < Cut) {
-        ++Removed;
-        continue;
-      }
-      TxnId NewL = L - Cut;
-      Live.Txns[NewL].SoIndex = static_cast<uint32_t>(Kept);
-      Sess[Kept++] = NewL;
-    }
-    Sess.resize(Kept);
-    SessionSoBase[S] += Removed;
+    auto FirstLive = std::find_if(Sess.begin(), Sess.end(),
+                                  [&](TxnId Id) { return Id >= Base; });
+    Live.SoBase[S] += static_cast<uint32_t>(FirstLive - Sess.begin());
+    Sess.erase(Sess.begin(), FirstLive);
   }
 
-  // Dirty and open transactions are never evicted (the prefix stops at
-  // the first); rebase the sets.
-  {
-    std::set<TxnId> NewDirty;
-    for (TxnId L : Dirty) {
-      AWDIT_ASSERT(L >= Cut, "compact: dirty transaction in evicted prefix");
-      NewDirty.insert(L - Cut);
-    }
-    Dirty = std::move(NewDirty);
-    std::set<TxnId> NewOpen;
-    for (TxnId L : OpenTxns) {
-      AWDIT_ASSERT(L >= Cut, "compact: open transaction in evicted prefix");
-      NewOpen.insert(L - Cut);
-    }
-    OpenTxns = std::move(NewOpen);
+  // Release the evicted slots once they outweigh the live ones.
+  size_t Dead = Base - Live.TxnBase;
+  if (Dead >= 64 && Dead >= Live.Txns.size() - Dead) {
+    Live.Txns.erase(Live.Txns.begin(), Live.Txns.begin() + Dead);
+    Meta.erase(Meta.begin(), Meta.begin() + Dead);
+    Live.TxnBase = Base;
   }
-
-  // Mask entries of evicted readers can never be consulted again.
-  for (auto It = EvictedWriterMask.begin();
-       It != EvictedWriterMask.end();) {
-    if ((It->first >> 32) < NewBase)
-      It = EvictedWriterMask.erase(It);
-    else
-      ++It;
-  }
-
-  // Evicted transactions can never join a new cycle (their edges are
-  // gone), so their delivery-dedup entries are prunable.
-  for (auto It = ReportedCycleTxns.begin();
-       It != ReportedCycleTxns.end();) {
-    if (*It < NewBase)
-      It = ReportedCycleTxns.erase(It);
-    else
-      ++It;
-  }
-
-  // The window's key universe shrank with the evicted operations.
-  Keys.clear();
-  for (const Transaction &T : Live.Txns)
-    for (const Operation &Op : T.Ops)
-      Keys.insert(Op.K);
-  Live.KeyCount = Keys.size();
-
-  Base = static_cast<TxnId>(NewBase);
 }
 
 CheckReport Monitor::finalize() {
@@ -660,16 +659,16 @@ CheckReport Monitor::finalize() {
   Finalized = true;
 
   // Online semantics: a transaction that never committed did not commit.
-  for (size_t L = 0; L < Meta.size(); ++L)
-    if (Meta[L].Open)
-      closeTxn(static_cast<TxnId>(L), /*Committed=*/false);
+  for (TxnId Id = Base; Id < Live.txnEnd(); ++Id)
+    if (meta(Id).Open)
+      closeTxn(Id, /*Committed=*/false);
 
   if (Stats.EvictedTxns == 0) {
     // Exact mode: bring every derived index to its final state, then run
     // the canonical one-shot engine over the full ingested history. This
     // is what makes checkIsolation() a bit-identical wrapper.
-    for (TxnId L : Dirty) {
-      bool Derived = deriveTxn(L);
+    for (TxnId Id : Dirty) {
+      bool Derived = deriveTxn(Id);
       AWDIT_ASSERT(Derived, "finalize: writer still open after close-all");
       (void)Derived;
     }
@@ -700,7 +699,7 @@ CheckReport Monitor::finalize() {
 }
 
 const MonitorStats &Monitor::stats() {
-  Stats.LiveTxns = Live.numTxns();
+  Stats.LiveTxns = Live.txnEnd() - Base;
   Stats.InferredEdges = Saturation.numInferredEdges();
   return Stats;
 }
@@ -709,12 +708,13 @@ std::string Monitor::txnLabel(TxnId MonitorId) const {
   std::string Label = "t" + std::to_string(MonitorId);
   if (MonitorId < Base)
     return Label + "(evicted)";
-  TxnId L = MonitorId - Base;
-  if (L >= Live.Txns.size())
+  if (MonitorId >= Live.txnEnd())
     return Label + "(?)";
-  const Transaction &T = Live.Txns[L];
+  const Transaction &T = Live.txn(MonitorId);
+  // An aborted transaction has no so position; it is labeled with its
+  // session's first live one.
   Label += "(s" + std::to_string(T.Session) + "#" +
-           std::to_string(SessionSoBase[T.Session] + T.SoIndex);
+           std::to_string(T.Committed ? T.SoIndex : Live.SoBase[T.Session]);
   if (!T.Committed)
     Label += ",aborted";
   Label += ")";
@@ -738,10 +738,10 @@ std::string Monitor::describe(const Violation &V) const {
   }
   if (V.T != NoTxn) {
     Out += " read";
-    if (V.T >= Base && V.OpIndex != NoOp) {
-      TxnId L = V.T - Base;
-      if (L < Live.Txns.size() && V.OpIndex < Live.Txns[L].Ops.size()) {
-        const Operation &Op = Live.Txns[L].Ops[V.OpIndex];
+    if (V.T >= Base && V.T < Live.txnEnd() && V.OpIndex != NoOp) {
+      const Transaction &T = Live.txn(V.T);
+      if (V.OpIndex < T.Ops.size()) {
+        const Operation &Op = T.Ops[V.OpIndex];
         Out +=
             " R(" + std::to_string(Op.K) + "," + std::to_string(Op.V) + ")";
       }
@@ -798,32 +798,33 @@ void saveU32Sequence(ByteWriter &W, const Container &C) {
 
 } // namespace
 
-void Monitor::saveState(ByteWriter &W) const { saveStateImpl(W, nullptr); }
+void Monitor::saveState(ByteWriter &W) const {
+  saveStateImpl(W, /*Local=*/true);
+}
 
-void Monitor::saveStateImpl(ByteWriter &W, const StateCoords *C) const {
+void Monitor::saveStateImpl(ByteWriter &W, bool Local) const {
   AWDIT_ASSERT(!Finalized, "saveState: monitor already finalized");
-  // Local→global coordinate transforms of the chunked (v2) path; identity
-  // when C is null, which writes the historical v1 bytes. See StateCoords.
-  uint32_t IdBase = C ? C->IdBase : 0;
-  auto GT = [&](TxnId T) {
-    return T == NoTxn ? T : static_cast<TxnId>(T + IdBase);
+  // The chunked (v2) layout writes ids and so positions as they are in
+  // memory; the v1 layout is window-local: ids relative to Base, so
+  // positions of committed transactions relative to their session's first
+  // live one.
+  const TxnId IdShift = Local ? Base : 0;
+  auto OutT = [&](TxnId T) {
+    return T == NoTxn ? T : static_cast<TxnId>(T - IdShift);
   };
-  auto GSo = [&](SessionId S, uint32_t So) {
-    return C && S < C->SoBase->size()
-               ? static_cast<uint32_t>(So + (*C->SoBase)[S])
-               : So;
-  };
+  const TxnId End = Live.txnEnd();
 
-  // The live window. Transactions live at global ids [Base, Base+N) in
-  // id order, so bucketing by global id makes the chunk covering a given
-  // transaction byte-identical until the transaction itself changes.
+  // The live window. Transactions live at ids [Base, End) in id order, so
+  // bucketing by id makes the chunk covering a given transaction
+  // byte-identical until the transaction itself changes.
   W.chunk(chunkId(ckchunk::MTxns));
-  W.u64(Live.Txns.size());
-  for (size_t I = 0; I < Live.Txns.size(); ++I) {
-    const Transaction &T = Live.Txns[I];
-    W.chunk(chunkId(ckchunk::MTxns, 1 + ((IdBase + I) >> 4)));
+  W.u64(End - Base);
+  for (TxnId Id = Base; Id < End; ++Id) {
+    const Transaction &T = Live.txn(Id);
+    W.chunk(chunkId(ckchunk::MTxns, 1 + (Id >> 4)));
     W.u32(T.Session);
-    W.u32(GSo(T.Session, T.SoIndex));
+    W.u32(Local && T.Committed ? T.SoIndex - Live.SoBase[T.Session]
+                               : T.SoIndex);
     W.boolean(T.Committed);
     W.u64(T.Ops.size());
     for (const Operation &Op : T.Ops) {
@@ -841,15 +842,13 @@ void Monitor::saveStateImpl(ByteWriter &W, const StateCoords *C) const {
       // writer is later evicted; the loader re-masks anything below the
       // window base. v1 keeps the masked sentinel (its bytes are the
       // pruned view).
-      uint32_t WriterOut = GT(RI.Writer);
+      uint32_t WriterOut = OutT(RI.Writer);
       uint32_t WriterOpOut = RI.WriterOp;
-      if (C && RI.Writer == NoTxn) {
-        auto MIt = EvictedWriterMask.find(
-            ((static_cast<uint64_t>(IdBase) + I) << 32) | RI.OpIndex);
-        if (MIt != EvictedWriterMask.end() &&
-            MIt->second != UnknownMaskedWriter) {
-          WriterOut = static_cast<uint32_t>(MIt->second >> 32);
-          WriterOpOut = static_cast<uint32_t>(MIt->second);
+      if (!Local && RI.Writer == NoTxn) {
+        const uint64_t *Original = maskedWriter(Id, RI.OpIndex);
+        if (Original && *Original != UnknownMaskedWriter) {
+          WriterOut = static_cast<uint32_t>(*Original >> 32);
+          WriterOpOut = static_cast<uint32_t>(*Original);
         }
       }
       W.u32(WriterOut);
@@ -859,15 +858,15 @@ void Monitor::saveStateImpl(ByteWriter &W, const StateCoords *C) const {
     // the reads, the mask, and commit metadata (classifyExternalReads):
     // the chunked path derives them at load instead of churning chunks
     // every time an evicted writer drops out of them.
-    if (!C)
+    if (Local)
       saveU32Sequence(W, T.ExtReads);
     W.u64(T.WriteKeys.size());
     for (Key K : T.WriteKeys)
       W.u64(K);
-    if (!C) {
+    if (Local) {
       W.u64(T.ReadFroms.size());
       for (TxnId F : T.ReadFroms)
-        W.u32(GT(F));
+        W.u32(OutT(F));
     }
   }
   W.chunk(chunkId(ckchunk::MSess));
@@ -878,9 +877,8 @@ void Monitor::saveStateImpl(ByteWriter &W, const StateCoords *C) const {
     W.u64(Sess.size());
     for (TxnId Member : Sess) {
       W.chunk(chunkId(ckchunk::MSess,
-                      1 + ((S << 26) | (static_cast<uint64_t>(GT(Member)) >>
-                                        8))));
-      W.u32(GT(Member));
+                      1 + ((S << 26) | (static_cast<uint64_t>(Member) >> 8))));
+      W.u32(OutT(Member));
     }
   }
   W.chunk(chunkId(ckchunk::MMisc));
@@ -890,20 +888,20 @@ void Monitor::saveStateImpl(ByteWriter &W, const StateCoords *C) const {
 
   W.u32(Base);
   W.chunk(chunkId(ckchunk::MMeta));
-  for (size_t I = 0; I < Meta.size(); ++I) {
-    const TxnMeta &TM = Meta[I];
-    W.chunk(chunkId(ckchunk::MMeta, 1 + ((IdBase + I) >> 6)));
+  for (TxnId Id = Base; Id < End; ++Id) {
+    const TxnMeta &TM = meta(Id);
+    W.chunk(chunkId(ckchunk::MMeta, 1 + (Id >> 6)));
     W.boolean(TM.Open);
     W.boolean(TM.Deferred);
     W.u64(TM.Ts);
   }
 
-  Saturation.saveState(W, C);
+  Saturation.saveState(W, Local ? &Live.SoBase : nullptr);
 
   W.chunk(chunkId(ckchunk::MAdopted));
   W.u64(AdoptedReady.size());
   for (TxnId T : AdoptedReady)
-    W.u32(GT(T));
+    W.u32(OutT(T));
   W.boolean(AdoptedIndexPending);
 
   // wr resolution: the write-site index, sorted by (key, value).
@@ -924,7 +922,7 @@ void Monitor::saveStateImpl(ByteWriter &W, const StateCoords *C) const {
       W.chunk(chunkId(ckchunk::MWrites, 1 + (KV.K >> 4)));
       W.u64(KV.K);
       W.i64(KV.V);
-      W.u32(GT(Site.T));
+      W.u32(OutT(Site.T));
       W.u32(Site.Op);
     }
   }
@@ -950,7 +948,7 @@ void Monitor::saveStateImpl(ByteWriter &W, const StateCoords *C) const {
       W.i64(Entry->first.V);
       W.u64(Entry->second.size());
       for (const auto &[Reader, OpIdx] : Entry->second) {
-        W.u32(GT(Reader));
+        W.u32(OutT(Reader));
         W.u32(OpIdx);
       }
     }
@@ -967,12 +965,12 @@ void Monitor::saveStateImpl(ByteWriter &W, const StateCoords *C) const {
     W.u64(Writers.size());
     for (TxnId Writer : Writers) {
       W.chunk(chunkId(ckchunk::MWaiters,
-                      1 + (static_cast<uint64_t>(GT(Writer)) >> 4)));
-      W.u32(GT(Writer));
+                      1 + (static_cast<uint64_t>(Writer) >> 4)));
+      W.u32(OutT(Writer));
       const std::vector<TxnId> &Readers = WaitersOnClose.at(Writer);
       W.u64(Readers.size());
       for (TxnId Reader : Readers)
-        W.u32(GT(Reader));
+        W.u32(OutT(Reader));
     }
   }
 
@@ -982,15 +980,14 @@ void Monitor::saveStateImpl(ByteWriter &W, const StateCoords *C) const {
     // writer is unknown (restored from a v1 checkpoint). v1 keeps the full
     // key set — its loader has no other way to tell masked from unresolved.
     std::vector<uint64_t> Sorted;
-    Sorted.reserve(EvictedWriterMask.size());
-    for (const auto &[MaskKey, Original] : EvictedWriterMask)
-      if (!C || Original == UnknownMaskedWriter)
-        Sorted.push_back(MaskKey);
-    std::sort(Sorted.begin(), Sorted.end());
+    for (TxnId Id = Base; Id < End; ++Id)
+      for (const auto &[OpIdx, Original] : meta(Id).Masked)
+        if (Local || Original == UnknownMaskedWriter)
+          Sorted.push_back((static_cast<uint64_t>(Id) << 32) | OpIdx);
     W.chunk(chunkId(ckchunk::MMask));
     W.u64(Sorted.size());
     for (uint64_t V : Sorted) {
-      // Mask keys are (global id << 32 | op) already: no transform.
+      // Mask keys are (id << 32 | op) in both layouts.
       W.chunk(chunkId(ckchunk::MMask, 1 + (V >> 36)));
       W.u64(V);
     }
@@ -999,22 +996,22 @@ void Monitor::saveStateImpl(ByteWriter &W, const StateCoords *C) const {
   W.chunk(chunkId(ckchunk::MDirty));
   W.u64(Dirty.size());
   for (TxnId T : Dirty)
-    W.u32(GT(T));
+    W.u32(OutT(T));
   W.chunk(chunkId(ckchunk::MOpen));
   W.u64(OpenTxns.size());
   for (TxnId T : OpenTxns)
-    W.u32(GT(T));
+    W.u32(OutT(T));
   {
     std::vector<TxnId> Sorted(ForceAbortedIds.begin(),
                               ForceAbortedIds.end());
     std::sort(Sorted.begin(), Sorted.end());
     W.chunk(chunkId(ckchunk::MForced));
-    saveU32Sequence(W, Sorted); // monitor (global) ids: no transform
+    saveU32Sequence(W, Sorted); // ids as in memory in both layouts
   }
 
   W.chunk(chunkId(ckchunk::MSoBase));
-  W.u64(SessionSoBase.size());
-  for (uint64_t V : SessionSoBase)
+  W.u64(Live.SoBase.size());
+  for (uint32_t V : Live.SoBase)
     W.u64(V);
 
   // Exactly-once delivery state: this is what makes a resumed monitor
@@ -1042,7 +1039,7 @@ void Monitor::saveStateImpl(ByteWriter &W, const StateCoords *C) const {
     W.chunk(chunkId(ckchunk::MCyc));
     W.u64(Sorted.size());
     for (TxnId T : Sorted) {
-      // Monitor (global) ids: no transform.
+      // Ids as in memory in both layouts.
       W.chunk(chunkId(ckchunk::MCyc, 1 + (static_cast<uint64_t>(T) >> 6)));
       W.u32(T);
     }
@@ -1079,11 +1076,19 @@ void Monitor::saveStateImpl(ByteWriter &W, const StateCoords *C) const {
 }
 
 bool Monitor::loadState(ByteReader &R, std::string *Err) {
-  return loadStateImpl(R, Err, nullptr);
+  // v1 bytes are window-local, and the window base and session bases they
+  // are relative to come after the records that use them: parse once to
+  // learn the bases, then again for real.
+  Monitor Probe(Opts);
+  ByteReader Ahead = R;
+  if (!Probe.loadStateImpl(Ahead, Err, Layout{/*Local=*/true, 0, nullptr}))
+    return false;
+  return loadStateImpl(R, Err,
+                       Layout{/*Local=*/true, Probe.Base, &Probe.Live.SoBase});
 }
 
 bool Monitor::loadStateImpl(ByteReader &R, std::string *Err,
-                            const StateCoords *C) {
+                            const Layout &L) {
   auto Fail = [&](const char *Msg) {
     if (Err)
       *Err = Msg;
@@ -1092,27 +1097,29 @@ bool Monitor::loadStateImpl(ByteReader &R, std::string *Err,
   if (Finalized || !Live.Txns.empty() || !Live.Sessions.empty())
     return Fail("checkpoint restore requires a pristine monitor");
 
-  // Exact inverses of the globalizing transforms in saveStateImpl. With a
-  // null \p C these are the identity, reading historical v1 bytes.
-  const uint32_t IdBase = C ? C->IdBase : 0;
-  auto LT = [&](TxnId T) {
-    return T == NoTxn ? T : static_cast<TxnId>(T - IdBase);
+  // Exact inverses of the transforms in saveStateImpl (the identity for
+  // the chunked layout).
+  const TxnId IdShift = L.Local ? L.IdBase : 0;
+  auto InT = [&](TxnId T) {
+    return T == NoTxn ? T : static_cast<TxnId>(T + IdShift);
   };
-  auto LSo = [&](uint32_t S, uint32_t V) -> uint32_t {
-    if (!C || !C->SoBase || S >= C->SoBase->size())
-      return V;
-    return static_cast<uint32_t>(V - (*C->SoBase)[S]);
+  auto InSo = [&](SessionId S, uint32_t So) -> uint32_t {
+    return L.SoBase && S < L.SoBase->size() ? So + (*L.SoBase)[S] : So;
   };
 
+  Live.TxnBase = L.IdBase;
   uint64_t NumTxns = R.u64();
   if (!R.checkCount(NumTxns, 16))
     return Fail("corrupted checkpoint (transaction count)");
   Live.Txns.resize(NumTxns);
+  Meta.resize(NumTxns);
   for (uint64_t I = 0; I < NumTxns && R.ok(); ++I) {
     Transaction &T = Live.Txns[I];
     T.Session = R.u32();
-    T.SoIndex = LSo(T.Session, R.u32());
+    T.SoIndex = R.u32();
     T.Committed = R.boolean();
+    if (T.Committed)
+      T.SoIndex = InSo(T.Session, T.SoIndex);
     uint64_t NumOps = R.u64();
     if (!R.checkCount(NumOps, 17))
       return Fail("corrupted checkpoint (operation count)");
@@ -1132,20 +1139,19 @@ bool Monitor::loadStateImpl(ByteReader &R, std::string *Err,
       RI.V = R.i64();
       uint32_t GW = R.u32();
       uint32_t WOp = R.u32();
-      if (C && GW != NoTxn && GW < IdBase) {
+      if (!L.Local && GW != NoTxn && GW < L.IdBase) {
         // Chunked records keep a masked read's original pre-eviction writer;
         // anything below the window base was evicted, so re-mask it here.
         RI.Writer = NoTxn;
         RI.WriterOp = NoOp;
-        EvictedWriterMask.emplace(
-            ((static_cast<uint64_t>(IdBase) + I) << 32) | RI.OpIndex,
-            (static_cast<uint64_t>(GW) << 32) | WOp);
+        Meta[I].Masked.emplace_back(RI.OpIndex,
+                                    (static_cast<uint64_t>(GW) << 32) | WOp);
       } else {
-        RI.Writer = LT(GW);
+        RI.Writer = InT(GW);
         RI.WriterOp = WOp;
       }
     }
-    if (!C) {
+    if (L.Local) {
       uint64_t NumExt = R.u64();
       if (!R.checkCount(NumExt, 4))
         return Fail("corrupted checkpoint (external reads)");
@@ -1160,13 +1166,13 @@ bool Monitor::loadStateImpl(ByteReader &R, std::string *Err,
     for (Key &K : T.WriteKeys)
       K = R.u64();
     indexLastWrites(T);
-    if (!C) {
+    if (L.Local) {
       uint64_t NumRf = R.u64();
       if (!R.checkCount(NumRf, 4))
         return Fail("corrupted checkpoint (read-froms)");
       T.ReadFroms.resize(NumRf);
       for (TxnId &F : T.ReadFroms)
-        F = LT(R.u32());
+        F = InT(R.u32());
     }
   }
 
@@ -1180,31 +1186,34 @@ bool Monitor::loadStateImpl(ByteReader &R, std::string *Err,
       return Fail("corrupted checkpoint (session list)");
     Live.Sessions[S].resize(Len);
     for (TxnId &T : Live.Sessions[S])
-      T = LT(R.u32());
+      T = InT(R.u32());
   }
   Live.TotalOps = R.u64();
   Live.CommittedCount = R.u64();
 
   Base = R.u32();
-  if (C && Base != C->IdBase)
+  if (!L.Local && Base != L.IdBase)
     return Fail("inconsistent checkpoint (window base vs. root metadata)");
-  Meta.resize(NumTxns);
   for (TxnMeta &TM : Meta) {
     TM.Open = R.boolean();
     TM.Deferred = R.boolean();
     TM.Ts = R.u64();
   }
-  if (C) {
+  if (!R.ok())
+    return Fail("truncated checkpoint (window)");
+  if (!L.Local) {
     // Chunked checkpoints omit ExtReads/ReadFroms: both are pure functions
     // of the reads, open flags, and commit bits, all of which are loaded by
     // this point.
-    for (uint64_t I = 0; I < NumTxns; ++I)
-      classifyExternalReads(static_cast<TxnId>(I));
+    for (TxnId Id = Base; Id < Live.txnEnd(); ++Id)
+      classifyExternalReads(Id);
   }
 
-  if (!R.ok())
-    return Fail("truncated checkpoint (window)");
-  if (!Saturation.loadState(R, Err, C, Base))
+  const std::vector<uint32_t> NoSoBase;
+  if (!Saturation.loadState(R, Err, Base,
+                            !L.Local ? nullptr
+                            : L.SoBase ? L.SoBase
+                                       : &NoSoBase))
     return false;
 
   uint64_t NumAdopted = R.u64();
@@ -1212,7 +1221,7 @@ bool Monitor::loadStateImpl(ByteReader &R, std::string *Err,
     return Fail("corrupted checkpoint (adopted list)");
   AdoptedReady.resize(NumAdopted);
   for (TxnId &T : AdoptedReady)
-    T = LT(R.u32());
+    T = InT(R.u32());
   AdoptedIndexPending = R.boolean();
 
   uint64_t NumWrites = R.u64();
@@ -1221,7 +1230,7 @@ bool Monitor::loadStateImpl(ByteReader &R, std::string *Err,
   for (uint64_t I = 0; I < NumWrites; ++I) {
     Key K = R.u64();
     Value V = R.i64();
-    TxnId T = LT(R.u32());
+    TxnId T = InT(R.u32());
     uint32_t Op = R.u32();
     if (R.ok() && !Writes.record(K, V, T, Op))
       return Fail("corrupted checkpoint (duplicate write-site entry)");
@@ -1238,7 +1247,7 @@ bool Monitor::loadStateImpl(ByteReader &R, std::string *Err,
       return Fail("corrupted checkpoint (pending-read list)");
     std::vector<std::pair<TxnId, uint32_t>> Waiters(Len);
     for (auto &[Reader, OpIdx] : Waiters) {
-      Reader = LT(R.u32());
+      Reader = InT(R.u32());
       OpIdx = R.u32();
     }
     PendingReads.emplace(KeyValue{K, V}, std::move(Waiters));
@@ -1248,28 +1257,39 @@ bool Monitor::loadStateImpl(ByteReader &R, std::string *Err,
   if (!R.checkCount(NumWaiters, 12))
     return Fail("corrupted checkpoint (close-waiters)");
   for (uint64_t I = 0; I < NumWaiters && R.ok(); ++I) {
-    TxnId Writer = LT(R.u32());
+    TxnId Writer = InT(R.u32());
     uint64_t Len = R.u64();
     if (!R.checkCount(Len, 4))
       return Fail("corrupted checkpoint (close-waiter list)");
     std::vector<TxnId> Readers(Len);
     for (TxnId &Reader : Readers)
-      Reader = LT(R.u32());
+      Reader = InT(R.u32());
     WaitersOnClose.emplace(Writer, std::move(Readers));
   }
 
   uint64_t NumMask = R.u64();
   if (!R.checkCount(NumMask, 8))
     return Fail("corrupted checkpoint (evicted-writer mask)");
-  for (uint64_t I = 0; I < NumMask; ++I)
-    EvictedWriterMask.emplace(R.u64(), UnknownMaskedWriter);
+  for (uint64_t I = 0; I < NumMask && R.ok(); ++I) {
+    uint64_t MaskKey = R.u64();
+    TxnId Reader = static_cast<TxnId>(MaskKey >> 32);
+    if (L.probing())
+      continue; // the window is not placed yet; only parse
+    if (Reader < Base || Reader >= Live.txnEnd())
+      return Fail("corrupted checkpoint (evicted-writer mask)");
+    std::vector<std::pair<uint32_t, uint64_t>> &Masked = meta(Reader).Masked;
+    std::pair<uint32_t, uint64_t> Entry{static_cast<uint32_t>(MaskKey),
+                                        UnknownMaskedWriter};
+    Masked.insert(std::lower_bound(Masked.begin(), Masked.end(), Entry),
+                  Entry);
+  }
 
   auto LoadTxnSet = [&](std::set<TxnId> &Set) {
     uint64_t Len = R.u64();
     if (!R.checkCount(Len, 4))
       return false;
     for (uint64_t I = 0; I < Len; ++I)
-      Set.insert(LT(R.u32()));
+      Set.insert(InT(R.u32()));
     return true;
   };
   if (!LoadTxnSet(Dirty))
@@ -1285,11 +1305,9 @@ bool Monitor::loadStateImpl(ByteReader &R, std::string *Err,
   uint64_t NumSoBase = R.u64();
   if (!R.checkCount(NumSoBase, 8))
     return Fail("corrupted checkpoint (session bases)");
-  SessionSoBase.resize(NumSoBase);
-  for (uint64_t &V : SessionSoBase)
-    V = R.u64();
-  if (C && C->SoBase && SessionSoBase != *C->SoBase)
-    return Fail("inconsistent checkpoint (session bases vs. root metadata)");
+  Live.SoBase.resize(NumSoBase);
+  for (uint32_t &V : Live.SoBase)
+    V = static_cast<uint32_t>(R.u64());
 
   uint64_t NumFp = R.u64();
   if (!R.checkCount(NumFp, 8))
@@ -1331,16 +1349,20 @@ bool Monitor::loadStateImpl(ByteReader &R, std::string *Err,
   if (!R.ok())
     return Fail("truncated checkpoint (monitor state)");
 
-  // Derived state not worth serializing: the key universe of the window.
-  for (const Transaction &T : Live.Txns)
-    for (const Operation &Op : T.Ops)
-      Keys.insert(Op.K);
-  Live.KeyCount = Keys.size();
-
   // Structural sanity: counts that must agree for the monitor to be usable.
   if (Meta.size() != Live.Txns.size() ||
-      SessionSoBase.size() != Live.Sessions.size())
+      Live.SoBase.size() != Live.Sessions.size())
     return Fail("inconsistent checkpoint (structure mismatch)");
+
+  // Derived state not worth serializing: the window's key refcounts and
+  // reader index (an adopted prefix still pending its index gets both
+  // when it is materialized).
+  if (!AdoptedIndexPending) {
+    for (TxnId Id = Base; Id < Live.txnEnd(); ++Id)
+      for (const Operation &Op : txnRef(Id).Ops)
+        countKey(Op.K);
+    indexReaders();
+  }
   return true;
 }
 
@@ -1351,24 +1373,27 @@ void Monitor::saveStateChunked(std::string &Bytes,
   Bytes.clear();
   Marks.clear();
   IdBase = Base;
-  SoBase = SessionSoBase;
+  SoBase.assign(Live.SoBase.begin(), Live.SoBase.end());
   ByteWriter W(Bytes);
   W.enableChunks(&Marks);
-  StateCoords C{Base, &SessionSoBase};
-  saveStateImpl(W, &C);
+  saveStateImpl(W, /*Local=*/false);
 }
 
 bool Monitor::loadStateChunked(std::string_view Bytes, uint32_t IdBase,
                                const std::vector<uint64_t> &SoBase,
                                std::string *Err) {
   ByteReader R(Bytes);
-  StateCoords C{IdBase, &SoBase};
-  if (!loadStateImpl(R, Err, &C))
+  if (!loadStateImpl(R, Err, Layout{/*Local=*/false, IdBase, nullptr}))
     return false;
-  if (R.remaining() != 0) {
+  auto Fail = [&](const char *Msg) {
     if (Err)
-      *Err = "trailing bytes after checkpoint state";
+      *Err = Msg;
     return false;
-  }
+  };
+  if (R.remaining() != 0)
+    return Fail("trailing bytes after checkpoint state");
+  if (!std::equal(SoBase.begin(), SoBase.end(), Live.SoBase.begin(),
+                  Live.SoBase.end()))
+    return Fail("inconsistent checkpoint (session bases vs. root metadata)");
   return true;
 }

@@ -58,7 +58,6 @@ class ByteWriter;
 class ByteReader;
 class ThreadPool;
 struct ChunkMark;
-struct StateCoords;
 
 /// Options of one monitoring session.
 struct MonitorOptions {
@@ -153,9 +152,10 @@ struct MonitorStats {
 ///   CheckReport Report = M.finalize();
 /// \endcode
 ///
-/// Transaction ids handed out by beginTxn() are *monitor ids*: assigned
-/// monotonically over the stream and stable in all reported violations,
-/// even after windowed eviction has renumbered the in-memory window.
+/// Transaction ids handed out by beginTxn() are assigned monotonically
+/// over the stream and never renumbered: the live window, the saturation
+/// engine and every reported violation use the same ids, and windowed
+/// eviction only advances the first live id.
 ///
 /// Session order (so) is the order of commit() calls within a session.
 /// When transactions of one session are fed strictly sequentially — the
@@ -171,7 +171,7 @@ public:
   /// Adds a new, empty session and returns its id.
   SessionId addSession();
 
-  /// Opens a new transaction in session \p S; returns its monitor id.
+  /// Opens a new transaction in session \p S; returns its id.
   TxnId beginTxn(SessionId S);
 
   /// Appends a read of (\p K, \p V) to the open transaction \p T.
@@ -287,13 +287,13 @@ public:
   const std::string &errorText() const { return ErrText; }
 
   /// Number of sessions added so far.
-  size_t numSessions() const { return SessionSoBase.size(); }
+  size_t numSessions() const { return Live.Sessions.size(); }
 
   /// A short label for a monitor transaction id, e.g. "t12(s3#4)" or
   /// "t12(evicted)".
   std::string txnLabel(TxnId MonitorId) const;
 
-  /// Renders a violation (in monitor ids) as a one-line description.
+  /// Renders a violation as a one-line description.
   std::string describe(const Violation &V) const;
 
   // --- Persistent checkpoints (checker/checkpoint.h). ---
@@ -314,29 +314,43 @@ public:
 
   /// Chunked serialization for store-backed (format-v2) checkpoints: the
   /// same logical state as saveState, but transaction ids and so-indices
-  /// are written in *global* coordinates — rebase-invariant under windowed
+  /// are written as they are in memory — never rebased by windowed
   /// eviction — and \p Marks receives the chunk boundaries (strictly
   /// increasing ids; see support/serialize.h). \p IdBase and \p SoBase
-  /// receive the coordinate bases the bytes were written under; a restore
-  /// needs them back to invert the transform, so the store keeps them in
-  /// the root's meta blob. Unchanged state re-serializes into
-  /// byte-identical chunks, which is what makes a store commit O(delta).
+  /// receive the first live id and per-session so position; the store
+  /// keeps them in the root's meta blob and a restore checks them against
+  /// the bytes. Unchanged state re-serializes into byte-identical chunks,
+  /// which is what makes a store commit O(delta). (saveState writes the
+  /// v1 layout instead, which is window-local.)
   void saveStateChunked(std::string &Bytes, std::vector<ChunkMark> &Marks,
                         uint32_t &IdBase,
                         std::vector<uint64_t> &SoBase) const;
 
   /// Restores reassembled saveStateChunked() bytes (chunks concatenated in
-  /// ascending id order) written under \p IdBase / \p SoBase.
+  /// ascending id order) whose window starts at \p IdBase / \p SoBase.
   bool loadStateChunked(std::string_view Bytes, uint32_t IdBase,
                         const std::vector<uint64_t> &SoBase,
                         std::string *Err);
 
 private:
-  /// Shared serialization body of the v1 and chunked paths: a null \p C
-  /// writes/reads raw local coordinates (the historical v1 bytes), a
-  /// non-null one applies the local↔global transform and emits marks.
-  void saveStateImpl(ByteWriter &W, const StateCoords *C) const;
-  bool loadStateImpl(ByteReader &R, std::string *Err, const StateCoords *C);
+  /// How serialized ids and so positions relate to memory.
+  struct Layout {
+    /// The v1 layout: ids relative to the window base, so positions of
+    /// committed transactions relative to their session's first live one.
+    /// Otherwise (chunked) they are written as they are in memory.
+    bool Local = false;
+    /// The id of the first serialized transaction (the window base).
+    TxnId IdBase = 0;
+    /// v1 loads: the per-session first live so positions, or null while
+    /// still unknown (the first of the two v1 parses).
+    const std::vector<uint32_t> *SoBase = nullptr;
+    /// The first v1 parse, which only learns the bases.
+    bool probing() const { return Local && !SoBase; }
+  };
+
+  /// Shared serialization body of the v1 (\p Local) and chunked paths.
+  void saveStateImpl(ByteWriter &W, bool Local) const;
+  bool loadStateImpl(ByteReader &R, std::string *Err, const Layout &L);
 
   struct TxnMeta {
     bool Open = true;
@@ -346,29 +360,54 @@ private:
     /// Stream time of the last lifecycle event: begin while open, close
     /// once closed. Drives the age horizon and the force-abort policy.
     uint64_t Ts = 0;
+    /// The reads resolved to this transaction, as (reader, index into
+    /// its Reads); may repeat. Never serialized (rebuilt on load).
+    /// Eviction masks exactly these reads.
+    std::vector<std::pair<TxnId, uint32_t>> Readers;
+    /// Reads whose writer was evicted, as (op index, original writer id
+    /// << 32 | writer op), sorted by op index: excluded from checking and
+    /// never reported as thin-air. The original writer lets the chunked
+    /// checkpoint serialize the read exactly as it looked before the
+    /// eviction, keeping old transaction chunks byte-stable across window
+    /// slides; a v1 restore records UnknownMaskedWriter.
+    std::vector<std::pair<uint32_t, uint64_t>> Masked;
   };
 
-  TxnId toLocal(TxnId MonitorId) const;
-  TxnId toMonitorId(TxnId Local) const { return Base + Local; }
+  /// The original writer of \p Id's masked read at \p OpIdx, or null if
+  /// that read is not masked.
+  const uint64_t *maskedWriter(TxnId Id, uint32_t OpIdx) const;
 
-  /// Closes \p Local (commit or abort), resolves its reads, wakes waiting
+  /// Asserts that \p T is a live transaction id and returns it.
+  TxnId checkLive(TxnId T) const;
+  Transaction &txnRef(TxnId T) { return Live.Txns[T - Live.TxnBase]; }
+  TxnMeta &meta(TxnId T) { return Meta[T - Live.TxnBase]; }
+  const TxnMeta &meta(TxnId T) const { return Meta[T - Live.TxnBase]; }
+
+  /// Counts an operation on \p K into the window's key refcounts.
+  void countKey(Key K);
+  /// Records that \p Reader's read \p ReadIdx resolved to \p Writer.
+  void noteReader(TxnId Writer, TxnId Reader, uint32_t ReadIdx);
+  /// Rebuilds every live transaction's reader list from the reads.
+  void indexReaders();
+
+  /// Closes \p Id (commit or abort), resolves its reads, wakes waiting
   /// readers, and schedules checking.
-  void closeTxn(TxnId Local, bool Committed);
+  void closeTxn(TxnId Id, bool Committed);
 
-  /// Recomputes \p Local's resolved reads and derived indices from its
-  /// ops against the current write index. Returns false when some read
+  /// Recomputes \p Id's resolved reads and derived indices from its ops
+  /// against the current write index. Returns false when some read
   /// resolves to a still-open writer (checking must wait).
-  bool deriveTxn(TxnId Local);
+  bool deriveTxn(TxnId Id);
 
   /// Materializes the deferred write index of an adopted history before
   /// any new ingestion resolves against it, and queues the adopted
   /// transactions as the engine's first delta.
   void ensureAdoptedIndex();
 
-  /// Rebuilds \p Local's ExtReads/ReadFroms from its (resolved) Reads:
-  /// the external reads are exactly those from a distinct, closed,
-  /// committed writer. Shared by deriveTxn and compact.
-  void classifyExternalReads(TxnId Local);
+  /// Rebuilds \p Id's ExtReads/ReadFroms from its (resolved) Reads: the
+  /// external reads are exactly those from a distinct, closed, committed
+  /// writer. Shared by deriveTxn, evict and the chunked loader.
+  void classifyExternalReads(TxnId Id);
 
   /// One incremental checking pass: force-abort hung transactions, derive
   /// dirty transactions, run the read-level checks over the delta, hand
@@ -381,19 +420,16 @@ private:
   /// whose age in stream ticks exceeds the limit.
   void forceAbortHung();
 
-  /// Translates local ids in \p V to monitor ids in place.
-  void translateToMonitorIds(Violation &V) const;
-
-  /// Delivers \p V (already in monitor ids) if not yet reported. Returns
-  /// true when it was delivered.
+  /// Delivers \p V if not yet reported. Returns true when it was
+  /// delivered.
   bool emitViolation(Violation V);
 
   /// Fingerprint for exactly-once delivery.
   static std::string fingerprint(const Violation &V);
 
-  /// Evicts the oldest \p Count transactions (a prefix of local ids) from
-  /// every structure and rebases the remainder.
-  void compact(size_t Count);
+  /// Evicts the transactions [Base, \p NewBase) from every structure, in
+  /// time proportional to what they own; survivors keep their ids.
+  void evict(TxnId NewBase);
 
   /// Applies the window horizons; called at the end of a flush.
   void maybeEvict();
@@ -402,13 +438,16 @@ private:
   ViolationSink *Sink;
 
   /// The live window, maintained directly as a History so the checkers and
-  /// kernels run on it unchanged. Local ids index this; monitor id =
-  /// Base + local id.
+  /// kernels run on it unchanged. Its transactions are the ids
+  /// [Base, Live.txnEnd()); the slots of evicted ones below Base are
+  /// released once they outweigh the live ones. Live.SoBase holds each
+  /// session's first live so position (its evicted so-prefix length).
   History Live;
   TxnId Base = 0;
+  /// Per-transaction monitor state, parallel to Live's slots.
   std::vector<TxnMeta> Meta;
-  /// Distinct keys seen in the window's operations (History::KeyCount).
-  std::unordered_set<Key> Keys;
+  /// Operations per key in the window; its size is History::KeyCount.
+  std::unordered_map<Key, uint32_t> KeyRefs;
 
   /// The incremental saturation engine: persisted happens-before facts,
   /// per-key write index, refcounted source-tagged edges, dynamic
@@ -417,23 +456,17 @@ private:
   /// Adopted transactions pending their first hand-off to the engine.
   std::vector<TxnId> AdoptedReady;
 
-  /// Incremental wr resolution (local ids).
+  /// Incremental wr resolution.
   WriteSiteIndex Writes;
   /// Reads of closed transactions with no write site yet: (key, value) ->
   /// readers. Retroactively resolved when the write arrives.
   std::unordered_map<KeyValue, std::vector<std::pair<TxnId, uint32_t>>,
                      KeyValueHash>
       PendingReads;
-  /// Readers to re-derive when an open writer closes (local ids).
+  /// Readers to re-derive when an open writer closes.
   std::unordered_map<TxnId, std::vector<TxnId>> WaitersOnClose;
-  /// Reads whose writer was evicted, keyed by (monitor id << 32 | op):
-  /// excluded from checking and never reported as thin-air. The value
-  /// remembers the original (global writer id << 32 | writer op) so the
-  /// chunked checkpoint can serialize the read exactly as it looked
-  /// before the eviction — keeping old transaction chunks byte-stable
-  /// across window slides. Entries restored from a v1 checkpoint carry
-  /// UnknownMaskedWriter (v1 bytes never held the original).
-  std::unordered_map<uint64_t, uint64_t> EvictedWriterMask;
+  /// TxnMeta::Masked value of a mask restored from a v1 checkpoint, whose
+  /// bytes never held the original writer.
   static constexpr uint64_t UnknownMaskedWriter =
       (static_cast<uint64_t>(NoTxn) << 32) | NoOp;
 
@@ -441,27 +474,23 @@ private:
   /// retroactively re-resolved). Ordered for deterministic flushes.
   std::set<TxnId> Dirty;
 
-  /// Currently open transactions (local ids), for the force-abort scan.
+  /// Currently open transactions, for the force-abort scan.
   std::set<TxnId> OpenTxns;
-  /// Monitor ids closed by the force-abort policy while their session
+  /// Ids closed by the force-abort policy while their session
   /// still holds the handle: later operations and the eventual
   /// commit/abort on them are dropped. Never pruned (one entry per
   /// forced abort — the hung-session pathology this bounds is rare).
   std::unordered_set<TxnId> ForceAbortedIds;
 
-  /// Monitor-id base of each session's so index, for labels after
-  /// eviction, plus the session count.
-  std::vector<uint64_t> SessionSoBase;
-
   /// Cap on the windowed finalize report (the sink remains complete).
   static constexpr size_t MaxWindowedReportViolations = 65536;
 
-  /// Exactly-once delivery state (monitor ids; stable across eviction).
+  /// Exactly-once delivery state.
   /// Fingerprints accumulate one small string per reported violation for
-  /// the lifetime of the session; cycle-txn ids are pruned at compaction.
+  /// the lifetime of the session; cycle-txn ids are pruned at eviction.
   std::unordered_set<std::string> ReportedFp;
   std::unordered_set<TxnId> ReportedCycleTxns;
-  /// Delivered violations in monitor ids (the windowed finalize report),
+  /// Delivered violations (the windowed finalize report),
   /// capped at MaxWindowedReportViolations.
   std::vector<Violation> StreamReported;
 

@@ -24,8 +24,7 @@ bool awdit::checkReadConsistencyRange(const History &H, TxnId Begin,
 bool awdit::checkReadConsistencyTxn(const History &H, TxnId Id,
                                     ReadCheckScratch &Scratch,
                                     std::vector<Violation> &Out) {
-  const std::vector<Transaction> &Txns = H.transactions();
-  const Transaction &T = Txns[Id];
+  const Transaction &T = H.txn(Id);
   if (!T.Committed || T.Reads.empty())
     return true;
   size_t Before = Out.size();
@@ -55,7 +54,7 @@ bool awdit::checkReadConsistencyTxn(const History &H, TxnId Id,
       continue;
     }
     // (b) No aborted reads.
-    if (!Txns[RI.Writer].Committed) {
+    if (!H.txn(RI.Writer).Committed) {
       Out.push_back({ViolationKind::AbortedRead, Id, OpIdx, RI.Writer, {}});
       continue;
     }
@@ -81,7 +80,7 @@ bool awdit::checkReadConsistencyTxn(const History &H, TxnId Id,
       }
       // (e, other txn) Observe latest write: the observed write must be
       // the final write to the key inside the writer transaction.
-      if (Txns[RI.Writer].lastWriteOp(RI.K) != RI.WriterOp)
+      if (H.txn(RI.Writer).lastWriteOp(RI.K) != RI.WriterOp)
         Out.push_back({ViolationKind::NotLatestWriteOtherTxn, Id, OpIdx,
                        RI.Writer,
                        {}});

@@ -13,6 +13,7 @@
 #include "support/thread_pool.h"
 
 #include <algorithm>
+#include <bit>
 #include <optional>
 #include <set>
 
@@ -44,7 +45,7 @@ constexpr size_t SccRetryRegionCap = 4096;
 //===----------------------------------------------------------------------===//
 
 void SaturationState::ensureSizes(const History &H) {
-  size_t N = H.numTxns();
+  size_t N = H.txnEnd() - SlotBase;
   if (Processed.size() < N) {
     if (EngineMode == Mode::Streaming)
       Order.addNodes(N - Processed.size());
@@ -110,6 +111,7 @@ bool SaturationState::baseReaches(uint32_t SrcNode, uint32_t DstNode) const {
     uint32_t U = Stack.back();
     Stack.pop_back();
     for (uint32_t W : Order.succs(U)) {
+      // Retired nodes' edges are gone from Edges too.
       const EdgeRefs *Refs = Edges.find(pack(U, W));
       if (!Refs || Refs->Base == 0)
         continue;
@@ -205,9 +207,9 @@ void SaturationState::addSourceEdges(const History &H, uint64_t Source,
   // cycle extraction) runs; metered per source call, not per edge, so the
   // clock reads stay off the per-edge path.
   uint64_t T0 = EngineMode == Mode::Streaming ? obs::traceNowNanos() : 0;
-  std::vector<uint64_t> &List = BySource[globalizeSource(Source)];
+  std::vector<uint64_t> &List = BySource[Source];
   for (uint64_t Packed : NewEdges) {
-    List.push_back(globalizePacked(Packed));
+    List.push_back(Packed);
     insertLive(H, Packed, IsBase, Out);
   }
   if (EngineMode == Mode::Streaming)
@@ -215,12 +217,12 @@ void SaturationState::addSourceEdges(const History &H, uint64_t Source,
 }
 
 void SaturationState::clearSource(uint64_t Source, bool IsBase) {
-  auto It = BySource.find(globalizeSource(Source));
+  auto It = BySource.find(Source);
   if (It == BySource.end())
     return;
-  for (uint64_t GPacked : It->second)
-    if (!deadPacked(GPacked))
-      removeLive(localizePacked(GPacked), IsBase);
+  for (uint64_t Packed : It->second)
+    if (!deadPacked(Packed))
+      removeLive(Packed, IsBase);
   BySource.erase(It);
 }
 
@@ -248,7 +250,15 @@ void SaturationState::retryQuarantined(const History &H) {
       Hi = std::max(Hi, P);
     }
   }
-  size_t RegionSize = static_cast<size_t>(Hi) - Lo + 1;
+  // The live nodes inside the hull, in order. Positions are sparse once
+  // evictions have retired nodes, so the region is measured in nodes.
+  std::vector<std::pair<uint32_t, uint32_t>> Region; // (position, node)
+  for (uint32_t N = Order.firstNode(); N < Order.endNode(); ++N) {
+    uint32_t P = Order.position(N);
+    if (P >= Lo && P <= Hi)
+      Region.emplace_back(P, N);
+  }
+  size_t RegionSize = Region.size();
   if (RegionSize > SccRetryRegionCap) {
     // Degenerate hull (quarantined endpoints span most of the window):
     // greedy one-edge-at-a-time retry. Admission order is the sorted
@@ -260,30 +270,31 @@ void SaturationState::retryQuarantined(const History &H) {
     return;
   }
 
-  // Dense region table (position - Lo -> node), one scan of the order.
-  std::vector<uint32_t> NodeAt(RegionSize, 0);
-  for (uint32_t N = 0; N < static_cast<uint32_t>(Order.numNodes()); ++N) {
-    uint32_t P = Order.position(N);
-    if (P >= Lo && P <= Hi)
-      NodeAt[P - Lo] = N;
-  }
+  // Dense region index: a node's rank in the region, by position.
+  std::sort(Region.begin(), Region.end());
+  auto DenseOf = [&](uint32_t Node) {
+    auto It = std::lower_bound(Region.begin(), Region.end(),
+                               std::make_pair(Order.position(Node), 0u));
+    return static_cast<uint32_t>(It - Region.begin());
+  };
 
   // Local subgraph: the live edges inside the region plus every
   // quarantined edge, condensed with one bounded Tarjan pass.
   Digraph G(RegionSize);
   for (size_t I = 0; I < RegionSize; ++I) {
-    for (uint32_t W : Order.succs(NodeAt[I])) {
+    for (uint32_t W : Order.succs(Region[I].second)) {
+      if (W < Order.firstNode())
+        continue; // a retired node
       uint32_t P = Order.position(W);
       if (P >= Lo && P <= Hi)
-        G.addEdge(static_cast<uint32_t>(I), P - Lo);
+        G.addEdge(static_cast<uint32_t>(I), DenseOf(W));
     }
   }
   // Dense endpoints captured now: admissions below reorder positions.
   std::vector<std::pair<uint32_t, uint32_t>> Dense;
   Dense.reserve(Snapshot.size());
   for (uint64_t Packed : Snapshot) {
-    Dense.emplace_back(Order.position(edgeFrom(Packed)) - Lo,
-                       Order.position(edgeTo(Packed)) - Lo);
+    Dense.emplace_back(DenseOf(edgeFrom(Packed)), DenseOf(edgeTo(Packed)));
     G.addEdge(Dense.back().first, Dense.back().second);
   }
   SccResult Scc = computeScc(G);
@@ -345,24 +356,35 @@ void SaturationState::appendWriterEntries(const History &H, TxnId L) {
   }
 }
 
+bool SaturationState::sameFrontiers(const History &H, const uint32_t *A,
+                                    const uint32_t *B) const {
+  size_t K = H.numSessions();
+  for (size_t S = 0; S < HbStride; ++S) {
+    uint32_t Floor = S < K ? H.soBase(static_cast<SessionId>(S)) : 0;
+    if ((A[S] > Floor ? A[S] : 0) != (B[S] > Floor ? B[S] : 0))
+      return false;
+  }
+  return true;
+}
+
 bool SaturationState::recomputeHbRow(const History &H, TxnId L) {
   const Transaction &T = H.txn(L);
   TmpRow.assign(HbStride, 0);
-  if (T.SoIndex > 0) {
-    TxnId Pred = H.sessionTxns(T.Session)[T.SoIndex - 1];
-    const uint32_t *PredRow = &HbRows[static_cast<size_t>(Pred) * HbStride];
+  if (T.SoIndex > H.soBase(T.Session)) {
+    TxnId Pred = H.sessionMember(T.Session, T.SoIndex - 1);
+    const uint32_t *PredRow = hbRow(Pred);
     std::copy(PredRow, PredRow + HbStride, TmpRow.begin());
     TmpRow[T.Session] = T.SoIndex; // = SoIndex(Pred) + 1.
   }
   for (TxnId Writer : T.ReadFroms) {
     const Transaction &W = H.txn(Writer);
-    const uint32_t *WRow = &HbRows[static_cast<size_t>(Writer) * HbStride];
+    const uint32_t *WRow = hbRow(Writer);
     for (size_t I = 0; I < HbStride; ++I)
       TmpRow[I] = std::max(TmpRow[I], WRow[I]);
     TmpRow[W.Session] = std::max(TmpRow[W.Session], W.SoIndex + 1);
   }
-  uint32_t *Row = &HbRows[static_cast<size_t>(L) * HbStride];
-  if (std::equal(Row, Row + HbStride, TmpRow.begin()))
+  uint32_t *Row = hbRow(L);
+  if (sameFrontiers(H, Row, TmpRow.data()))
     return false;
   std::copy(TmpRow.begin(), TmpRow.end(), Row);
   return true;
@@ -412,11 +434,11 @@ void SaturationState::speculateCc(const History &H,
             return Spec.find(Input)->second.Row.data();
           }
           Sp.ExternalInputs.push_back(Input);
-          return &HbRows[static_cast<size_t>(Input) * HbStride];
+          return hbRow(Input);
         };
-        if (T.SoIndex > 0) {
+        if (T.SoIndex > H.soBase(T.Session)) {
           const uint32_t *PredRow =
-              InputRow(H.sessionTxns(T.Session)[T.SoIndex - 1]);
+              InputRow(H.sessionMember(T.Session, T.SoIndex - 1));
           std::copy(PredRow, PredRow + HbStride, Sp.Row.begin());
           Sp.Row[T.Session] = T.SoIndex; // = SoIndex(Pred) + 1.
         }
@@ -454,7 +476,7 @@ bool SaturationState::mergeHbRow(const History &H, TxnId L, SpecMap *Spec) {
     // construction, no comparison of outputs needed.
     bool Valid = true;
     for (TxnId E : Sp->ExternalInputs)
-      if (RowEpochs.touchedInCurrentEpoch(E)) {
+      if (RowEpochs.touchedInCurrentEpoch(slot(E))) {
         Valid = false;
         break;
       }
@@ -467,23 +489,22 @@ bool SaturationState::mergeHbRow(const History &H, TxnId L, SpecMap *Spec) {
     if (Valid) {
       ++SpecAdoptedRows;
       Sp->Matched = true;
-      uint32_t *Row = &HbRows[static_cast<size_t>(L) * HbStride];
-      if (std::equal(Row, Row + HbStride, Sp->Row.begin()))
+      uint32_t *Row = hbRow(L);
+      if (sameFrontiers(H, Row, Sp->Row.data()))
         return false;
       std::copy(Sp->Row.begin(), Sp->Row.end(), Row);
-      RowEpochs.touch(L);
+      RowEpochs.touch(slot(L));
       return true;
     }
   }
   bool Changed = recomputeHbRow(H, L);
   if (Changed)
-    RowEpochs.touch(L);
+    RowEpochs.touch(slot(L));
   if (Sp) {
     // A re-derived row that lands on the speculated value still validates
     // the chains (and the edge set) built on it.
     ++SpecRecomputedRows;
-    const uint32_t *Row = &HbRows[static_cast<size_t>(L) * HbStride];
-    Sp->Matched = std::equal(Row, Row + HbStride, Sp->Row.begin());
+    Sp->Matched = sameFrontiers(H, hbRow(L), Sp->Row.data());
   }
   return Changed;
 }
@@ -503,8 +524,8 @@ void SaturationState::propagateHappensBefore(const History &H,
   };
   if (NeedsFullHbRecompute) {
     NeedsFullHbRecompute = false;
-    for (TxnId L = 0; L < static_cast<TxnId>(Processed.size()); ++L)
-      if (Processed[L])
+    for (TxnId L = EvictedBase; L < H.txnEnd(); ++L)
+      if (Processed[slot(L)])
         Push(L);
   }
   for (TxnId L : Ready)
@@ -520,10 +541,10 @@ void SaturationState::propagateHappensBefore(const History &H,
     if (!RowChanged)
       continue;
     TxnId Succ = H.soSuccessor(L);
-    if (Succ != NoTxn && Processed[Succ])
+    if (Succ != NoTxn && Processed[slot(Succ)])
       Push(Succ);
-    for (TxnId Reader : ReadersOf[L])
-      if (Processed[Reader])
+    for (TxnId Reader : ReadersOf[slot(L)])
+      if (Reader >= EvictedBase && Processed[slot(Reader)])
         Push(Reader);
   }
   std::sort(ChangedOut.begin(), ChangedOut.end());
@@ -533,7 +554,7 @@ void SaturationState::propagateHappensBefore(const History &H,
 
 void SaturationState::runCcReader(const History &H, TxnId L,
                                   std::vector<uint64_t> &EdgesOut) const {
-  runCcReaderRow(H, L, &HbRows[static_cast<size_t>(L) * HbStride], EdgesOut);
+  runCcReaderRow(H, L, hbRow(L), EdgesOut);
 }
 
 void SaturationState::runCcReaderRow(const History &H, TxnId L,
@@ -565,13 +586,12 @@ void SaturationState::runCcReaderRow(const History &H, TxnId L,
 void SaturationState::setReaderWrEdges(const History &H, TxnId L,
                                        std::vector<Violation> *Out) {
   uint64_t Source = wrSource(L);
-  auto It = BySource.find(globalizeSource(Source));
+  auto It = BySource.find(Source);
   if (It != BySource.end()) {
-    for (uint64_t GPacked : It->second) {
-      if (deadPacked(GPacked))
+    for (uint64_t Packed : It->second) {
+      if (deadPacked(Packed))
         continue;
-      std::vector<TxnId> &Readers =
-          ReadersOf[edgeFrom(localizePacked(GPacked))];
+      std::vector<TxnId> &Readers = ReadersOf[slot(edgeFrom(Packed))];
       auto RIt = std::find(Readers.begin(), Readers.end(), L);
       if (RIt != Readers.end()) {
         *RIt = Readers.back();
@@ -587,7 +607,7 @@ void SaturationState::setReaderWrEdges(const History &H, TxnId L,
   NewEdges.reserve(T.ReadFroms.size());
   for (TxnId Writer : T.ReadFroms) {
     NewEdges.push_back(pack(Writer, L));
-    ReadersOf[Writer].push_back(L);
+    ReadersOf[slot(Writer)].push_back(L);
   }
   addSourceEdges(H, Source, /*IsBase=*/true, NewEdges, Out);
 }
@@ -612,10 +632,10 @@ void SaturationState::flushDelta(const History &H,
     for (TxnId L : Ready) {
       const Transaction &T = H.txn(L);
       AWDIT_ASSERT(T.Committed, "flushDelta: ready txn must be committed");
-      if (!Processed[L]) {
-        Processed[L] = 1;
-        if (T.SoIndex > 0) {
-          TxnId Pred = H.sessionTxns(T.Session)[T.SoIndex - 1];
+      if (!Processed[slot(L)]) {
+        Processed[slot(L)] = 1;
+        if (T.SoIndex > H.soBase(T.Session)) {
+          TxnId Pred = H.sessionMember(T.Session, T.SoIndex - 1);
           addSourceEdges(H, soSource(T.Session), /*IsBase=*/true,
                          {pack(Pred, L)}, &Out);
         }
@@ -661,21 +681,24 @@ void SaturationState::flushDelta(const History &H,
     }
     for (SessionId S = 0; S < H.numSessions(); ++S) {
       RaSessionState &St = RaStates[S];
+      // NextSo is an so position; the kernel indexes the live session list.
+      size_t SoBase = H.soBase(S);
       if (St.NeedsFullRerun) {
         clearSource(raSource(S), /*IsBase=*/false);
         St.Scratch.LastWrite.clear();
-        St.NextSo = 0;
+        St.NextSo = SoBase;
         St.NeedsFullRerun = false;
       }
-      size_t Size = H.sessionTxns(S).size();
-      if (St.NextSo >= Size)
+      size_t End = SoBase + H.sessionTxns(S).size();
+      if (St.NextSo >= End)
         continue;
       std::vector<uint64_t> NewEdges;
-      detail::saturateRaSessionRange(H, S, St.NextSo, Size, St.Scratch,
-                                     [&](TxnId From, TxnId To) {
-                                       NewEdges.push_back(pack(From, To));
-                                     });
-      St.NextSo = Size;
+      detail::saturateRaSessionRange(
+          H, S, std::max(St.NextSo, SoBase) - SoBase, End - SoBase,
+          St.Scratch, [&](TxnId From, TxnId To) {
+            NewEdges.push_back(pack(From, To));
+          });
+      St.NextSo = End;
       std::sort(NewEdges.begin(), NewEdges.end());
       NewEdges.erase(std::unique(NewEdges.begin(), NewEdges.end()),
                      NewEdges.end());
@@ -833,203 +856,139 @@ bool SaturationState::finalizeAcyclic(const History &H,
 }
 
 //===----------------------------------------------------------------------===//
-// Eviction-aware compaction.
+// Eviction.
 //===----------------------------------------------------------------------===//
 
-void SaturationState::compact(const History &H, TxnId Cut) {
-  AWDIT_ASSERT(EngineMode == Mode::Streaming, "compact: streaming only");
-  if (Cut == 0)
+void SaturationState::sweepSessionSource(uint64_t Source) {
+  auto It = BySource.find(Source);
+  if (It == BySource.end())
+    return;
+  std::vector<uint64_t> &List = It->second;
+  List.erase(std::remove_if(List.begin(), List.end(),
+                            [&](uint64_t Packed) { return deadPacked(Packed); }),
+             List.end());
+  if (List.empty())
+    BySource.erase(It);
+}
+
+void SaturationState::evict(const History &H, TxnId NewBase) {
+  AWDIT_ASSERT(EngineMode == Mode::Streaming, "evict: streaming only");
+  TxnId OldBase = EvictedBase;
+  if (NewBase <= OldBase)
     return;
   ensureSizes(H);
-  size_t K = H.numSessions();
-  size_t OldN = Processed.size();
-  size_t NewN = OldN - Cut;
 
-  // Per-session so positions of evicted members, ascending: the shift
-  // tables for every persisted so-position-valued fact (happens-before
-  // frontiers, writer-list positions, the RA processed frontier).
-  std::vector<std::vector<uint32_t>> RemovedPos(K);
-  for (SessionId S = 0; S < K; ++S) {
-    const std::vector<TxnId> &Sess = H.sessionTxns(S);
-    for (size_t SoPos = 0; SoPos < Sess.size(); ++SoPos)
-      if (Sess[SoPos] < Cut)
-        RemovedPos[S].push_back(static_cast<uint32_t>(SoPos));
-  }
-  // Number of evicted so positions strictly below \p Value in session S.
-  auto RemovedBelow = [&](SessionId S, uint32_t Value) -> uint32_t {
-    const std::vector<uint32_t> &R = RemovedPos[S];
-    return static_cast<uint32_t>(
-        std::lower_bound(R.begin(), R.end(), Value) - R.begin());
-  };
-
-  // Happens-before rows: drop the prefix, shift the surviving frontiers.
-  if (Level == IsolationLevel::CausalConsistency && HbStride) {
-    for (size_t L = Cut; L < OldN; ++L) {
-      uint32_t *Src = &HbRows[L * HbStride];
-      uint32_t *Dst = &HbRows[(L - Cut) * HbStride];
-      for (size_t S = 0; S < HbStride; ++S) {
-        uint32_t F = Src[S];
-        Dst[S] = (F && S < K)
-                     ? F - RemovedBelow(static_cast<SessionId>(S), F)
-                     : F;
+  // The evicted writers' writer-list entries and RA last-writes go.
+  // Writer lists are so-sorted and the evicted members of a session are an
+  // so prefix of it, so each list of a written key loses a prefix; empty
+  // slots go, keeping the survivors' slot order.
+  std::vector<Key> WrittenKeys;
+  for (TxnId T = OldBase; T < NewBase; ++T) {
+    const Transaction &Txn = H.txn(T);
+    if (!Txn.Committed)
+      continue;
+    WrittenKeys.insert(WrittenKeys.end(), Txn.WriteKeys.begin(),
+                       Txn.WriteKeys.end());
+    if (Txn.Session < RaStates.size()) {
+      std::unordered_map<Key, TxnId> &LastWrite =
+          RaStates[Txn.Session].Scratch.LastWrite;
+      for (Key K : Txn.WriteKeys) {
+        auto It = LastWrite.find(K);
+        if (It != LastWrite.end() && It->second == T)
+          LastWrite.erase(It);
       }
     }
-    HbRows.resize(NewN * HbStride);
   }
-
-  // Writer index: evicted writers vanish; survivors rebase ids and so
-  // positions.
-  for (auto It = Writers.begin(); It != Writers.end();) {
+  std::sort(WrittenKeys.begin(), WrittenKeys.end());
+  WrittenKeys.erase(std::unique(WrittenKeys.begin(), WrittenKeys.end()),
+                    WrittenKeys.end());
+  for (Key K : WrittenKeys) {
+    auto It = Writers.find(K);
+    if (It == Writers.end())
+      continue;
     KeyWriters &KW = It->second;
     size_t KeptSlots = 0;
     for (size_t Slot = 0; Slot < KW.Sessions.size(); ++Slot) {
-      SessionId S = KW.Sessions[Slot];
       std::vector<detail::CcWriterEntry> &List = KW.Lists[Slot];
-      size_t Kept = 0;
-      for (const detail::CcWriterEntry &E : List) {
-        if (E.T < Cut)
-          continue;
-        List[Kept++] = {E.T - Cut, E.SoIndex - RemovedBelow(S, E.SoIndex)};
+      auto FirstLive = std::find_if(
+          List.begin(), List.end(),
+          [&](const detail::CcWriterEntry &E) { return E.T >= NewBase; });
+      List.erase(List.begin(), FirstLive);
+      if (List.empty())
+        continue;
+      if (KeptSlots != Slot) {
+        KW.Sessions[KeptSlots] = KW.Sessions[Slot];
+        KW.Lists[KeptSlots] = std::move(List);
       }
-      List.resize(Kept);
-      if (Kept) {
-        if (KeptSlots != Slot) {
-          KW.Sessions[KeptSlots] = S;
-          KW.Lists[KeptSlots] = std::move(List);
-        }
-        ++KeptSlots;
-      }
+      ++KeptSlots;
     }
     KW.Sessions.resize(KeptSlots);
     KW.Lists.resize(KeptSlots);
-    It = KeptSlots ? std::next(It) : Writers.erase(It);
+    if (!KeptSlots)
+      Writers.erase(It);
   }
 
-  // RA incremental state: scratch entries of evicted writers vanish, the
-  // processed frontier shifts by the members removed below it.
-  for (SessionId S = 0; S < RaStates.size() && S < K; ++S) {
-    RaSessionState &St = RaStates[S];
-    St.NextSo -= RemovedBelow(S, static_cast<uint32_t>(St.NextSo));
-    for (auto ScIt = St.Scratch.LastWrite.begin();
-         ScIt != St.Scratch.LastWrite.end();) {
-      if (ScIt->second < Cut) {
-        ScIt = St.Scratch.LastWrite.erase(ScIt);
-      } else {
-        ScIt->second -= Cut;
-        ++ScIt;
-      }
-    }
-  }
-
-  // Source-tagged edges: contributions of evicted units vanish wholesale,
-  // and edges crossing the horizon die (anomalies spanning it are no
-  // longer detectable — the documented windowed-mode trade-off). The
-  // lists are global-coordinate, so surviving per-transaction sources are
-  // left byte-for-byte untouched: a dead edge becomes a tombstone the
-  // consumers (and the replay below) skip via deadPacked(). Only the
-  // long-lived per-session lists are rewritten — RA contributions are
-  // pruned in place, and the so chains are rebuilt over the surviving
-  // session members so survivors around an evicted middle member get
-  // re-linked.
-  uint32_t NewBase = EvictedBase + Cut;
-  for (auto It = BySource.begin(); It != BySource.end();) {
-    uint64_t Tag = It->first >> 32;
-    if (Tag == 4) {
-      It = BySource.erase(It); // so chains: rebuilt below.
-      continue;
-    }
-    if (isPerTxnSource(It->first)) {
-      It = static_cast<uint32_t>(It->first) < NewBase ? BySource.erase(It)
-                                                      : std::next(It);
-      continue;
-    }
-    // Per-session RA lists: prune dead entries, keep global coordinates.
-    std::vector<uint64_t> &List = It->second;
-    size_t Kept = 0;
-    for (uint64_t GPacked : List)
-      if (edgeFrom(GPacked) >= NewBase && edgeTo(GPacked) >= NewBase)
-        List[Kept++] = GPacked;
-    List.resize(Kept);
-    It = Kept ? std::next(It) : BySource.erase(It);
-  }
-  for (SessionId S = 0; S < K; ++S) {
-    const std::vector<TxnId> &Sess = H.sessionTxns(S);
-    std::vector<uint64_t> Chain;
-    TxnId Prev = NoTxn;
-    for (TxnId Member : Sess) {
-      if (Member < Cut)
-        continue;
-      if (Prev != NoTxn)
-        Chain.push_back(pack(Prev - Cut + NewBase, Member - Cut + NewBase));
-      Prev = Member;
-    }
-    if (!Chain.empty())
-      BySource.emplace(soSource(S), std::move(Chain));
-  }
+  // From here on the evicted transactions are dead: every edge incident
+  // to one is a tombstone. Clearing their per-transaction sources then
+  // only releases what they contributed between survivors; the edges
+  // crossing the horizon die with their evicted endpoint, whoever
+  // contributed them (anomalies spanning it are no longer detectable —
+  // the documented windowed-mode trade-off). The order's adjacency of the
+  // evicted nodes finds those; quarantined ones sit outside the order.
+  // Surviving sources keep them as tombstones, and readers' entries in
+  // surviving writers' ReadersOf lists are skipped where read.
   EvictedBase = NewBase;
-
-  // Quarantined edges between survivors stay quarantined (their region
-  // may still be cyclic); the retry at the next flush revisits them.
-  std::unordered_set<uint64_t> NewQuarantine;
-  for (uint64_t Packed : Quarantined) {
-    TxnId From = edgeFrom(Packed), To = edgeTo(Packed);
-    if (From >= Cut && To >= Cut)
-      NewQuarantine.insert(pack(From - Cut, To - Cut));
+  for (TxnId T = OldBase; T < NewBase; ++T) {
+    clearSource(rcSource(T), /*IsBase=*/false);
+    clearSource(ccSource(T), /*IsBase=*/false);
+    clearSource(wrSource(T), /*IsBase=*/true);
+    ReadersOf[slot(T)] = {};
   }
-  Quarantined = std::move(NewQuarantine);
-
-  // Rebuild refcounts, the order, and the reader lists from the filtered
-  // sources. Surviving edges preserve their relative order, so re-adding
-  // them is forward (O(1) per edge).
-  Edges.clear();
-  InferredDistinct = 0;
-  Order.clearEdgesAndCompact(Cut);
-  Processed.erase(Processed.begin(), Processed.begin() + Cut);
-  RowEpochs.eraseFront(Cut);
-  ReadersOf.assign(NewN, {});
-  // Replay in sorted source order, not hash-table order: adjacency-list
-  // order steers later witness extraction, and a canonical replay makes
-  // the post-compaction order a pure function of the logical edge set —
-  // identical between a resumed and an uninterrupted run, and stable
-  // between consecutive checkpoints (what keeps v2 chunks unchanged).
-  std::vector<uint64_t> ReplayOrder;
-  ReplayOrder.reserve(BySource.size());
-  for (const auto &[Source, EdgeList] : BySource)
-    ReplayOrder.push_back(Source);
-  std::sort(ReplayOrder.begin(), ReplayOrder.end());
-  for (uint64_t Source : ReplayOrder) {
-    const std::vector<uint64_t> &EdgeList = BySource.at(Source);
-    bool IsBase = isBaseSource(Source);
-    for (uint64_t GPacked : EdgeList) {
-      if (deadPacked(GPacked))
-        continue;
-      uint64_t Packed = localizePacked(GPacked);
-      EdgeRefs &Refs = Edges[Packed];
-      bool WasLive = Refs.Base + Refs.Inferred > 0;
-      if (IsBase) {
-        ++Refs.Base;
-      } else {
-        if (Refs.Inferred == 0)
-          ++InferredDistinct;
-        ++Refs.Inferred;
-      }
-      if (!WasLive && !Quarantined.count(Packed) &&
-          !Order.addEdge(edgeFrom(Packed), edgeTo(Packed), nullptr))
-        Quarantined.insert(Packed); // only possible under a stale base cycle
+  std::vector<std::pair<uint32_t, uint32_t>> Crossing;
+  Order.evictBelow(NewBase, Crossing);
+  for (auto [From, To] : Crossing) {
+    uint64_t Packed = pack(From, To);
+    const EdgeRefs *Refs = Edges.find(Packed);
+    if (Refs && Refs->Inferred > 0)
+      --InferredDistinct;
+    Edges.erase(Packed);
+  }
+  for (auto It = Quarantined.begin(); It != Quarantined.end();) {
+    if (!deadPacked(*It)) {
+      ++It;
+      continue;
     }
-    if ((Source >> 32) == 3) { // wr: rebuild reader lists
-      TxnId Reader = static_cast<TxnId>(static_cast<uint32_t>(Source) -
-                                        EvictedBase);
-      for (uint64_t GPacked : EdgeList)
-        if (!deadPacked(GPacked))
-          ReadersOf[edgeFrom(localizePacked(GPacked))].push_back(Reader);
-    }
+    const EdgeRefs *Refs = Edges.find(*It);
+    if (Refs && Refs->Inferred > 0)
+      --InferredDistinct;
+    Edges.erase(*It);
+    It = Quarantined.erase(It);
   }
 
-  // Quarantine entries whose every referencing source was evicted are
-  // gone with their references.
-  for (auto It = Quarantined.begin(); It != Quarantined.end();)
-    It = Edges.count(*It) ? std::next(It) : Quarantined.erase(It);
+  // Session-scoped lists (so chains, RA contributions) outlive their
+  // entries. Their tombstones are swept once per window's worth of
+  // evictions — amortized O(1) per evicted transaction, and a pure
+  // function of the window, so a resumed run sweeps exactly when an
+  // uninterrupted one does.
+  uint64_t Quantum =
+      std::bit_ceil(std::max<uint64_t>(64, H.txnEnd() - NewBase));
+  if (OldBase / Quantum != NewBase / Quantum)
+    for (SessionId S = 0; S < NumSessions; ++S) {
+      sweepSessionSource(raSource(S));
+      sweepSessionSource(soSource(S));
+    }
+
+  // Release the evicted slots of the per-transaction arrays once they
+  // outweigh the live ones.
+  size_t Dead = NewBase - SlotBase;
+  if (Dead >= 64 && Dead >= Processed.size() - Dead) {
+    Processed.erase(Processed.begin(), Processed.begin() + Dead);
+    ReadersOf.erase(ReadersOf.begin(), ReadersOf.begin() + Dead);
+    HbRows.erase(HbRows.begin(),
+                 HbRows.begin() + std::min(HbRows.size(), Dead * HbStride));
+    RowEpochs.eraseFront(Dead);
+    SlotBase = NewBase;
+  }
 
   maybeClearBaseCyclic();
 }
@@ -1038,25 +997,23 @@ void SaturationState::compact(const History &H, TxnId Cut) {
 // Checkpoint support: verbatim serialization of the streaming state.
 //===----------------------------------------------------------------------===//
 
-void SaturationState::saveState(ByteWriter &W, const StateCoords *C) const {
+void SaturationState::saveState(
+    ByteWriter &W, const std::vector<uint32_t> *LocalSoBase) const {
   AWDIT_ASSERT(EngineMode == Mode::Streaming,
                "saveState: only streaming state checkpoints");
-  // Local→global transforms of chunked serialization (identity when C is
-  // null — the v1 byte path). See StateCoords in support/serialize.h.
-  uint32_t IdBase = C ? C->IdBase : 0;
-  auto GT = [&](TxnId T) { return static_cast<TxnId>(T + IdBase); };
-  auto GSo = [&](SessionId S, uint32_t So) {
-    return C && S < C->SoBase->size()
-               ? static_cast<uint32_t>(So + (*C->SoBase)[S])
-               : So;
+  // The chunked layout writes ids and so positions as they are in memory;
+  // the v1 layout is window-local. A v1 frontier at or below its session's
+  // first live position is "none" (0): it reaches no live transaction.
+  const bool Local = LocalSoBase != nullptr;
+  const uint32_t IdShift = Local ? EvictedBase : 0;
+  auto OutT = [&](TxnId T) { return static_cast<TxnId>(T - IdShift); };
+  auto OutSo = [&](SessionId S, uint32_t So) -> uint32_t {
+    uint32_t Floor = Local && S < LocalSoBase->size() ? (*LocalSoBase)[S] : 0;
+    return So > Floor ? So - Floor : 0;
   };
-  auto GPacked = [&](uint64_t Packed) {
-    return Packed + (static_cast<uint64_t>(IdBase) << 32) + IdBase;
-  };
-  // BySource is already global-coordinate in memory; the chunked path
-  // writes it verbatim, so its base and the checkpoint's must agree.
-  AWDIT_ASSERT(!C || C->IdBase == EvictedBase,
-               "saveState: checkpoint id base != engine eviction base");
+  const uint64_t PackedShift =
+      (static_cast<uint64_t>(IdShift) << 32) | IdShift;
+  const TxnId End = SlotBase + static_cast<TxnId>(Processed.size());
 
   W.chunk(chunkId(ckchunk::SHdr));
   W.u8(static_cast<uint8_t>(Level));
@@ -1064,7 +1021,7 @@ void SaturationState::saveState(ByteWriter &W, const StateCoords *C) const {
   W.boolean(BaseCyclic);
   W.boolean(NeedsFullHbRecompute);
 
-  Order.saveState(W, IdBase, ckchunk::SPos);
+  Order.saveState(W, Local, ckchunk::SPos);
 
   // Edge refcounts: v1 only, sorted by packed key for canonical bytes
   // (iteration order of the live table never influences behavior in
@@ -1072,7 +1029,7 @@ void SaturationState::saveState(ByteWriter &W, const StateCoords *C) const {
   // the filtered refcount image of the source lists below, so loadState
   // re-derives it instead of paying churned refcount chunks on every
   // retroactive re-derivation.
-  if (!C) {
+  if (Local) {
     std::vector<std::pair<uint64_t, EdgeRefs>> Sorted;
     Sorted.reserve(Edges.size());
     Edges.forEach([&](uint64_t Packed, const EdgeRefs &Refs) {
@@ -1082,25 +1039,23 @@ void SaturationState::saveState(ByteWriter &W, const StateCoords *C) const {
               [](const auto &A, const auto &B) { return A.first < B.first; });
     W.u64(Sorted.size());
     for (const auto &[Packed, Refs] : Sorted) {
-      W.u64(Packed);
+      W.u64(Packed - PackedShift);
       W.u32(Refs.Base);
       W.u32(Refs.Inferred);
     }
   }
 
-  // Source-tagged edge lists, sorted by (global) source key. The lists
-  // live in global coordinates and may carry tombstones. The chunked path
-  // writes them verbatim — a per-transaction source's bytes never change
-  // after creation, so eviction dirties no old chunk. The v1 path writes
-  // the filtered, localized view: exactly the bytes an eagerly pruned
-  // engine would produce (tombstone-only sources are elided like eager
-  // pruning would have dropped them).
+  // Source-tagged edge lists, sorted by source key. The lists may carry
+  // tombstones. The chunked path writes them verbatim — a per-transaction
+  // source's bytes never change after creation, so eviction dirties no old
+  // chunk. The v1 path writes the filtered, localized view (tombstone-only
+  // sources are elided).
   {
     std::vector<uint64_t> Sources;
     Sources.reserve(BySource.size());
     for (const auto &[Source, List] : BySource) {
-      if (!C && std::all_of(List.begin(), List.end(), [&](uint64_t GP) {
-            return deadPacked(GP);
+      if (Local && std::all_of(List.begin(), List.end(), [&](uint64_t P) {
+            return deadPacked(P);
           }))
         continue;
       Sources.push_back(Source);
@@ -1113,20 +1068,20 @@ void SaturationState::saveState(ByteWriter &W, const StateCoords *C) const {
       W.chunk(chunkId(ckchunk::SSources,
                       1 + (((Source >> 32) << 28) |
                            (static_cast<uint32_t>(Source) >> 4))));
-      if (C) {
+      if (!Local) {
         W.u64(Source);
         W.u64(List.size());
-        for (uint64_t GPacked : List)
-          W.u64(GPacked);
+        for (uint64_t Packed : List)
+          W.u64(Packed);
       } else {
-        W.u64(isPerTxnSource(Source) ? Source - EvictedBase : Source);
+        W.u64(isPerTxnSource(Source) ? Source - IdShift : Source);
         uint64_t Live = 0;
-        for (uint64_t GPacked : List)
-          Live += !deadPacked(GPacked);
+        for (uint64_t Packed : List)
+          Live += !deadPacked(Packed);
         W.u64(Live);
-        for (uint64_t GPacked : List)
-          if (!deadPacked(GPacked))
-            W.u64(localizePacked(GPacked));
+        for (uint64_t Packed : List)
+          if (!deadPacked(Packed))
+            W.u64(Packed - PackedShift);
       }
     }
   }
@@ -1137,42 +1092,38 @@ void SaturationState::saveState(ByteWriter &W, const StateCoords *C) const {
     W.chunk(chunkId(ckchunk::SQuar));
     W.u64(Sorted.size());
     for (uint64_t Packed : Sorted)
-      W.u64(GPacked(Packed));
+      W.u64(Packed - PackedShift);
   }
 
   W.chunk(chunkId(ckchunk::SProc));
-  W.u64(Processed.size());
-  for (size_t I = 0; I < Processed.size(); ++I) {
-    W.chunk(chunkId(ckchunk::SProc, 1 + ((IdBase + I) >> 8)));
-    W.u8(Processed[I]);
+  W.u64(End - EvictedBase);
+  for (TxnId T = EvictedBase; T < End; ++T) {
+    W.chunk(chunkId(ckchunk::SProc, 1 + (T >> 8)));
+    W.u8(Processed[slot(T)]);
   }
 
   W.chunk(chunkId(ckchunk::SReaders));
-  W.u64(ReadersOf.size());
-  for (size_t I = 0; I < ReadersOf.size(); ++I) {
-    W.chunk(chunkId(ckchunk::SReaders, 1 + ((IdBase + I) >> 4)));
-    const std::vector<TxnId> &Readers = ReadersOf[I];
-    W.u64(Readers.size());
+  W.u64(End - EvictedBase);
+  for (TxnId T = EvictedBase; T < End; ++T) {
+    W.chunk(chunkId(ckchunk::SReaders, 1 + (T >> 4)));
+    const std::vector<TxnId> &Readers = ReadersOf[slot(T)];
+    W.u64(std::count_if(Readers.begin(), Readers.end(),
+                        [&](TxnId R) { return R >= EvictedBase; }));
     for (TxnId R : Readers)
-      W.u32(GT(R));
+      if (R >= EvictedBase)
+        W.u32(OutT(R));
   }
 
   W.chunk(chunkId(ckchunk::SHb));
   W.u64(HbStride);
-  W.u64(HbRows.size());
-  if (HbStride == 0 || HbRows.size() % HbStride != 0)
-    for (uint32_t V : HbRows) // defensive: not row-shaped, write raw
-      W.u32(V);
-  else
-    for (size_t L = 0; L * HbStride < HbRows.size(); ++L) {
-      W.chunk(chunkId(ckchunk::SHb, 1 + ((IdBase + L) >> 4)));
-      for (size_t S = 0; S < HbStride; ++S) {
-        // Frontier values are so-index+1 counts; 0 means "none" and stays
-        // a sentinel, matching the rebase in compact().
-        uint32_t F = HbRows[L * HbStride + S];
-        W.u32(F ? GSo(static_cast<SessionId>(S), F) : 0);
-      }
-    }
+  size_t LiveRows = HbStride && !HbRows.empty() ? End - EvictedBase : 0;
+  W.u64(LiveRows * HbStride);
+  for (TxnId T = EvictedBase; T < EvictedBase + LiveRows; ++T) {
+    W.chunk(chunkId(ckchunk::SHb, 1 + (T >> 4)));
+    const uint32_t *Row = hbRow(T);
+    for (size_t S = 0; S < HbStride; ++S)
+      W.u32(OutSo(static_cast<SessionId>(S), Row[S]));
+  }
 
   // Per-key writer index: sorted by key; slot order (session discovery
   // order) and list order are semantic — verbatim.
@@ -1195,8 +1146,8 @@ void SaturationState::saveState(ByteWriter &W, const StateCoords *C) const {
         const std::vector<detail::CcWriterEntry> &List = KW.Lists[Slot];
         W.u64(List.size());
         for (const detail::CcWriterEntry &E : List) {
-          W.u32(GT(E.T));
-          W.u32(GSo(S, E.SoIndex));
+          W.u32(OutT(E.T));
+          W.u32(OutSo(S, E.SoIndex));
         }
       }
     }
@@ -1210,8 +1161,7 @@ void SaturationState::saveState(ByteWriter &W, const StateCoords *C) const {
   for (size_t S = 0; S < RaStates.size(); ++S) {
     const RaSessionState &St = RaStates[S];
     W.chunk(chunkId(ckchunk::SRa, 1 + S));
-    W.u64(C && S < C->SoBase->size() ? St.NextSo + (*C->SoBase)[S]
-                                     : St.NextSo);
+    W.u64(OutSo(static_cast<SessionId>(S), static_cast<uint32_t>(St.NextSo)));
     W.boolean(St.NeedsFullRerun);
     std::vector<std::pair<Key, TxnId>> Sorted(St.Scratch.LastWrite.begin(),
                                               St.Scratch.LastWrite.end());
@@ -1219,57 +1169,59 @@ void SaturationState::saveState(ByteWriter &W, const StateCoords *C) const {
     W.u64(Sorted.size());
     for (const auto &[K, T] : Sorted) {
       W.u64(K);
-      W.u32(GT(T));
+      W.u32(OutT(T));
     }
   }
 }
 
 bool SaturationState::loadState(ByteReader &R, std::string *Err,
-                                const StateCoords *C, uint32_t WindowBase) {
+                                uint32_t WindowBase,
+                                const std::vector<uint32_t> *LocalSoBase) {
   auto Fail = [&](const char *Msg) {
     if (Err)
       *Err = Msg;
     return false;
   };
-  // Exact inverses of the saveState transforms (identity when C is null).
-  uint32_t IdBase = C ? C->IdBase : 0;
-  auto LT = [&](TxnId T) { return static_cast<TxnId>(T - IdBase); };
-  auto LSo = [&](SessionId S, uint32_t So) {
-    return C && S < C->SoBase->size()
-               ? static_cast<uint32_t>(So - (*C->SoBase)[S])
-               : So;
+  // Exact inverses of the saveState transforms (identity unless the bytes
+  // are the window-local v1 layout).
+  const bool Local = LocalSoBase != nullptr;
+  const uint32_t IdShift = Local ? WindowBase : 0;
+  auto InT = [&](TxnId T) { return static_cast<TxnId>(T + IdShift); };
+  auto Floor = [&](SessionId S) {
+    return Local && S < LocalSoBase->size() ? (*LocalSoBase)[S] : 0;
   };
-  auto LPacked = [&](uint64_t Packed) {
-    return Packed - (static_cast<uint64_t>(IdBase) << 32) - IdBase;
+  auto InPos = [&](SessionId S, uint32_t So) { return So + Floor(S); };
+  auto InFrontier = [&](SessionId S, uint32_t F) {
+    return F ? F + Floor(S) : 0;
   };
+  const uint64_t PackedShift =
+      (static_cast<uint64_t>(IdShift) << 32) | IdShift;
 
   if (EngineMode != Mode::Streaming)
     return Fail("checkpoint restore requires a streaming-mode engine");
-  if (C && C->IdBase != WindowBase)
-    return Fail("inconsistent checkpoint (id base vs. window base)");
-  EvictedBase = WindowBase;
+  EvictedBase = SlotBase = WindowBase;
   if (R.u8() != static_cast<uint8_t>(Level))
     return Fail("checkpoint isolation level does not match this monitor");
   NumSessions = R.u64();
   BaseCyclic = R.boolean();
   NeedsFullHbRecompute = R.boolean();
   // Speculation bookkeeping is transient per-flush state: deliberately
-  // absent from checkpoints (the format is unchanged by PR 6), reset here.
+  // absent from checkpoints, reset here.
   RowEpochs.clear();
 
-  if (!Order.loadState(R, IdBase))
+  if (!Order.loadState(R, WindowBase, Local))
     return Fail("corrupted checkpoint (topological order)");
 
   // Edge refcounts: present in v1 bytes only; the chunked format derives
   // them from the source lists after those are read.
   Edges.clear();
   InferredDistinct = 0;
-  if (!C) {
+  if (Local) {
     uint64_t NumEdges = R.u64();
     if (!R.checkCount(NumEdges, 16))
       return Fail("corrupted checkpoint (edge count)");
     for (uint64_t I = 0; I < NumEdges; ++I) {
-      uint64_t Packed = R.u64();
+      uint64_t Packed = R.u64() + PackedShift;
       EdgeRefs Refs;
       Refs.Base = R.u32();
       Refs.Inferred = R.u32();
@@ -1279,35 +1231,32 @@ bool SaturationState::loadState(ByteReader &R, std::string *Err,
     }
   }
 
-  // Source lists: the chunked bytes are the in-memory (global-coordinate,
-  // tombstone-carrying) form verbatim; v1 bytes are the filtered local
-  // view and re-globalize against the window base.
   BySource.clear();
   uint64_t NumSources = R.u64();
   if (!R.checkCount(NumSources, 16))
     return Fail("corrupted checkpoint (source count)");
   for (uint64_t I = 0; I < NumSources && R.ok(); ++I) {
     uint64_t Source = R.u64();
-    if (!C && isPerTxnSource(Source))
-      Source += EvictedBase;
+    if (Local && isPerTxnSource(Source))
+      Source += IdShift;
     uint64_t Len = R.u64();
     if (!R.checkCount(Len, 8))
       return Fail("corrupted checkpoint (source list)");
     std::vector<uint64_t> List(Len);
     for (uint64_t J = 0; J < Len; ++J)
-      List[J] = C ? R.u64() : R.u64() + packedShift(EvictedBase);
+      List[J] = R.u64() + PackedShift;
     BySource.emplace(Source, std::move(List));
   }
-  if (C) {
+  if (!Local) {
     // Derive the refcount map: it is a pure, order-independent refcount
     // image of the filtered lists, so replaying them here reproduces the
     // live engine's map bit-exactly.
     for (const auto &[Source, List] : BySource) {
       bool IsBase = isBaseSource(Source);
-      for (uint64_t GPacked : List) {
-        if (deadPacked(GPacked))
+      for (uint64_t Packed : List) {
+        if (deadPacked(Packed))
           continue;
-        EdgeRefs &Refs = Edges[localizePacked(GPacked)];
+        EdgeRefs &Refs = Edges[Packed];
         if (IsBase) {
           ++Refs.Base;
         } else {
@@ -1324,11 +1273,13 @@ bool SaturationState::loadState(ByteReader &R, std::string *Err,
   if (!R.checkCount(NumQuarantined, 8))
     return Fail("corrupted checkpoint (quarantine)");
   for (uint64_t I = 0; I < NumQuarantined; ++I)
-    Quarantined.insert(LPacked(R.u64()));
+    Quarantined.insert(R.u64() + PackedShift);
 
   uint64_t NumProcessed = R.u64();
   if (!R.checkCount(NumProcessed, 1))
     return Fail("corrupted checkpoint (processed flags)");
+  if (NumProcessed != Order.numNodes())
+    return Fail("inconsistent checkpoint (processed flags vs. order)");
   Processed.resize(NumProcessed);
   for (uint64_t I = 0; I < NumProcessed; ++I)
     Processed[I] = R.u8();
@@ -1343,7 +1294,7 @@ bool SaturationState::loadState(ByteReader &R, std::string *Err,
       return Fail("corrupted checkpoint (reader list)");
     ReadersOf[I].resize(Len);
     for (uint64_t J = 0; J < Len; ++J)
-      ReadersOf[I][J] = LT(R.u32());
+      ReadersOf[I][J] = InT(R.u32());
   }
 
   HbStride = R.u64();
@@ -1355,7 +1306,7 @@ bool SaturationState::loadState(ByteReader &R, std::string *Err,
   for (uint64_t I = 0; I < NumHb; ++I) {
     uint32_t F = R.u32();
     HbRows[I] =
-        F && RowShaped ? LSo(static_cast<SessionId>(I % HbStride), F) : F;
+        RowShaped ? InFrontier(static_cast<SessionId>(I % HbStride), F) : F;
   }
 
   Writers.clear();
@@ -1378,8 +1329,8 @@ bool SaturationState::loadState(ByteReader &R, std::string *Err,
         return Fail("corrupted checkpoint (writer list)");
       KW.Lists[Slot].resize(Len);
       for (uint64_t J = 0; J < Len; ++J) {
-        KW.Lists[Slot][J].T = LT(R.u32());
-        KW.Lists[Slot][J].SoIndex = LSo(S, R.u32());
+        KW.Lists[Slot][J].T = InT(R.u32());
+        KW.Lists[Slot][J].SoIndex = InPos(S, R.u32());
       }
     }
   }
@@ -1391,16 +1342,15 @@ bool SaturationState::loadState(ByteReader &R, std::string *Err,
   RaStates.resize(NumRa);
   for (uint64_t I = 0; I < NumRa && R.ok(); ++I) {
     RaSessionState &St = RaStates[I];
-    St.NextSo = R.u64();
-    if (C && I < C->SoBase->size())
-      St.NextSo -= (*C->SoBase)[I];
+    St.NextSo = InPos(static_cast<SessionId>(I),
+                      static_cast<uint32_t>(R.u64()));
     St.NeedsFullRerun = R.boolean();
     uint64_t Len = R.u64();
     if (!R.checkCount(Len, 12))
       return Fail("corrupted checkpoint (RA last-write)");
     for (uint64_t J = 0; J < Len; ++J) {
       Key K = R.u64();
-      St.Scratch.LastWrite[K] = LT(R.u32());
+      St.Scratch.LastWrite[K] = InT(R.u32());
     }
   }
 

@@ -32,12 +32,14 @@
 /// Every inferred or base edge is tagged with the unit of work that
 /// produced it (an RC transaction, an RA session, a CC reader, a reader's
 /// wr set, a session's so chain), so re-running a unit replaces exactly
-/// its contribution. The tagged lists live in *global* stream coordinates
-/// (ids never rebased by eviction): compaction drops whole evicted
-/// sources but never rewrites a surviving per-transaction list — entries
-/// whose endpoint was evicted are filtered lazily by every consumer.
-/// That keeps the serialized bytes of old sources stable across window
-/// slides, which is what makes store-backed checkpoints O(delta).
+/// its contribution. Transaction ids and so positions are global stream
+/// coordinates, never rebased by eviction: evicting a prefix of the window
+/// frees exactly what the evicted transactions own — their sources, the
+/// edges incident to them, their writer-list entries — in time
+/// proportional to what leaves. Entries of surviving lists whose endpoint
+/// was evicted are filtered lazily by every consumer, which also keeps the
+/// serialized bytes of old sources stable across window slides (what makes
+/// store-backed checkpoints O(delta)).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -66,7 +68,6 @@ namespace awdit {
 
 class ByteWriter;
 class ByteReader;
-struct StateCoords;
 class ThreadPool;
 
 /// The incremental saturation engine. One instance per checking session
@@ -93,7 +94,7 @@ public:
 
   // --- Streaming delta pass. ---
 
-  /// One incremental pass. \p Ready lists the local ids of committed
+  /// One incremental pass. \p Ready lists the ids of committed
   /// transactions that are newly closed or were retroactively re-resolved
   /// since the last pass, ascending. Reads \p H (the live window) for
   /// operations, sessions, and derived per-transaction indices; appends
@@ -174,12 +175,13 @@ public:
   bool finalizeAcyclic(const History &H, std::vector<Violation> &Out,
                        size_t MaxWitnesses, SaturationStats *Stats);
 
-  // --- Eviction-aware compaction (streaming). ---
+  // --- Eviction (streaming). ---
 
-  /// Drops the transaction prefix [0, \p Cut) from every persisted
-  /// structure and rebases the rest. Must run while \p H still holds the
-  /// pre-eviction window (the caller rebases its History afterwards).
-  void compact(const History &H, TxnId Cut);
+  /// Evicts the transactions below \p NewBase from every persisted
+  /// structure, in time proportional to what they own. Survivors keep
+  /// their ids and so positions. Must run while \p H still holds the
+  /// evicted transactions (the caller drops them afterwards).
+  void evict(const History &H, TxnId NewBase);
 
   // --- Introspection. ---
 
@@ -201,18 +203,20 @@ public:
   /// later witness extraction), happens-before rows, writer index, RA
   /// frontiers. Unordered containers are dumped in sorted-key order so the
   /// bytes are canonical; list-valued state keeps its order verbatim.
-  /// A non-null \p C (chunked checkpoint-v2 serialization) globalizes
-  /// transaction ids and so-indices and emits chunk marks; loadState must
-  /// be handed the same transform back. Null writes the v1 bytes.
-  void saveState(ByteWriter &W, const StateCoords *C = nullptr) const;
+  /// Ids and so positions are written as they are in memory (the chunked
+  /// checkpoint-v2 layout), unless \p LocalSoBase is non-null: then they
+  /// are written window-local (the v1 layout) — ids relative to the
+  /// window base, so positions relative to (*LocalSoBase)[session].
+  void saveState(ByteWriter &W,
+                 const std::vector<uint32_t> *LocalSoBase = nullptr) const;
 
   /// Restores a freshly constructed streaming state (same Level) from
-  /// saveState() bytes. \p WindowBase is the global id of window-local 0
-  /// (the monitor's eviction count) — it re-globalizes v1 bytes and seeds
-  /// the lazy eviction filter. Returns false (with \p Err set) on
+  /// saveState() bytes. \p WindowBase is the id of the first live
+  /// transaction (the monitor's eviction count); \p LocalSoBase must be
+  /// what the bytes were saved with. Returns false (with \p Err set) on
   /// corrupted or level-mismatched input.
-  bool loadState(ByteReader &R, std::string *Err,
-                 const StateCoords *C = nullptr, uint32_t WindowBase = 0);
+  bool loadState(ByteReader &R, std::string *Err, uint32_t WindowBase,
+                 const std::vector<uint32_t> *LocalSoBase = nullptr);
 
 private:
   // Source tags: the unit of work that contributed an edge. Re-running a
@@ -227,27 +231,23 @@ private:
     return Tag == 0 || Tag == 2 || Tag == 3;
   }
 
-  // BySource coordinate bridge: callers and the live structures (Edges,
-  // Order, ReadersOf) speak window-local ids; the tagged lists store
-  // global ones. EvictedBase is the global id of local 0.
-  uint64_t globalizeSource(uint64_t Source) const {
-    return isPerTxnSource(Source) ? Source + EvictedBase : Source;
+  /// True when either endpoint of a packed edge was evicted — the entry
+  /// is a tombstone every consumer skips.
+  bool deadPacked(uint64_t Packed) const {
+    return static_cast<uint32_t>(Packed >> 32) < EvictedBase ||
+           static_cast<uint32_t>(Packed) < EvictedBase;
   }
-  static uint64_t packedShift(uint32_t Base) {
-    return (static_cast<uint64_t>(Base) << 32) | Base;
-  }
-  uint64_t globalizePacked(uint64_t Packed) const {
-    return Packed + packedShift(EvictedBase);
-  }
-  uint64_t localizePacked(uint64_t GPacked) const {
-    return GPacked - packedShift(EvictedBase);
-  }
-  /// True when either endpoint of a global packed edge was evicted — the
-  /// entry is a tombstone every consumer skips.
-  bool deadPacked(uint64_t GPacked) const {
-    return static_cast<uint32_t>(GPacked >> 32) < EvictedBase ||
-           static_cast<uint32_t>(GPacked) < EvictedBase;
-  }
+
+  /// Storage index of transaction \p T in the per-transaction arrays.
+  size_t slot(TxnId T) const { return T - SlotBase; }
+  uint32_t *hbRow(TxnId T) { return &HbRows[slot(T) * HbStride]; }
+  const uint32_t *hbRow(TxnId T) const { return &HbRows[slot(T) * HbStride]; }
+
+  /// Row equality as the inference sees it: a frontier at or below its
+  /// session's first live so position reaches no live transaction, so all
+  /// such values are equal (to "none").
+  bool sameFrontiers(const History &H, const uint32_t *A,
+                     const uint32_t *B) const;
 
   /// Reference counts of one packed edge, split by provenance: base
   /// (so/wr) references keep the edge structural; inferred references come
@@ -281,13 +281,15 @@ private:
                       const std::vector<uint64_t> &Edges,
                       std::vector<Violation> *Out);
   void clearSource(uint64_t Source, bool IsBase);
+  /// Filters the tombstones out of a session-scoped source list.
+  void sweepSessionSource(uint64_t Source);
   void insertLive(const History &H, uint64_t Packed, bool IsBase,
                   std::vector<Violation> *Out);
   void removeLive(uint64_t Packed, bool IsBase);
   void retryQuarantined(const History &H);
   /// Clears BaseCyclic (scheduling a full happens-before recompute) once
   /// no quarantined edge with a base reference remains. Shared by the
-  /// flush-time retry and eviction compaction.
+  /// flush-time retry and eviction.
   void maybeClearBaseCyclic();
 
   /// True iff \p To reaches \p From using only edges with a base
@@ -350,8 +352,8 @@ private:
   const Mode EngineMode;
   size_t NumSessions = 0;
   bool BaseCyclic = false;
-  /// Set by compact() when evictions broke a base cycle: every live row is
-  /// recomputed at the next flush.
+  /// Set when evictions broke a base cycle: every live row is recomputed
+  /// at the next flush.
   bool NeedsFullHbRecompute = false;
 
   // --- Persistent streaming state. ---
@@ -363,19 +365,22 @@ private:
   /// twice per delta edge, which made node-based hashing the dominant
   /// per-flush cost (ROADMAP follow-up from PR 3).
   PackedEdgeMap<EdgeRefs> Edges;
-  /// Source-tagged edge lists in *global* stream coordinates (keys of
-  /// per-transaction tags and every packed endpoint are global ids, never
-  /// rebased). A per-transaction list is immutable once written: eviction
-  /// drops whole evicted sources and leaves tombstone entries (an evicted
-  /// endpoint) in surviving lists for consumers to skip via deadPacked().
-  /// Per-session lists (RA contributions, so chains) are long-lived and
-  /// are pruned/rebuilt at compaction instead. The refcounted Edges map is
-  /// always the filtered refcount image of these lists — which is why the
-  /// chunked checkpoint derives it at load instead of persisting it.
+  /// Source-tagged edge lists. A per-transaction list is immutable once
+  /// written: eviction drops whole evicted sources and leaves tombstone
+  /// entries (an evicted endpoint) in surviving lists for consumers to
+  /// skip via deadPacked(). Per-session lists (RA contributions, so
+  /// chains) are long-lived; their tombstones are swept in bulk once per
+  /// window's worth of evictions. The refcounted Edges map is always the
+  /// filtered refcount image of these lists — which is why the chunked
+  /// checkpoint derives it at load instead of persisting it.
   std::unordered_map<uint64_t, std::vector<uint64_t>> BySource;
-  /// Global id of window-local transaction 0 (total evicted count); the
-  /// BySource coordinate base and lazy eviction filter.
+  /// Id of the first live transaction (total evicted count): the lazy
+  /// eviction filter.
   uint32_t EvictedBase = 0;
+  /// Id of slot 0 of the per-transaction arrays below (Processed,
+  /// ReadersOf, HbRows, RowEpochs). Slots below EvictedBase are released
+  /// once they outweigh the live ones.
+  uint32_t SlotBase = 0;
   /// Edges with live references that are kept out of the order because
   /// inserting them closed a cycle (reported when first quarantined).
   std::unordered_set<uint64_t> Quarantined;
@@ -385,7 +390,8 @@ private:
   /// entries appended).
   std::vector<uint8_t> Processed;
   /// Readers currently holding a wr edge from each transaction, for
-  /// happens-before dirty propagation.
+  /// happens-before dirty propagation. Evicted readers are skipped rather
+  /// than removed.
   std::vector<std::vector<TxnId>> ReadersOf;
 
   /// Persisted exclusive happens-before clock rows, row-major with stride

@@ -17,9 +17,10 @@ void IncrementalTopoOrder::addNodes(size_t Count) {
   Mark.resize(N + Count, 0);
   Parent.resize(N + Count, 0);
   // New nodes join at the end of the order: nothing points at them yet, so
-  // any suffix placement is valid.
+  // any suffix placement is valid. Every position ever handed out is an id
+  // below the new ones, so a new node's id exceeds every live position.
   for (size_t I = N; I < N + Count; ++I)
-    Pos[I] = static_cast<uint32_t>(I);
+    Pos[I] = NodeBase + static_cast<uint32_t>(I);
 }
 
 bool IncrementalTopoOrder::discoverForward(uint32_t From, uint32_t To,
@@ -27,19 +28,20 @@ bool IncrementalTopoOrder::discoverForward(uint32_t From, uint32_t To,
                                           std::vector<uint32_t> &Region) {
   Stack.clear();
   Stack.push_back(To);
-  Mark[To] = Epoch;
+  Mark[slot(To)] = Epoch;
   while (!Stack.empty()) {
     uint32_t U = Stack.back();
     Stack.pop_back();
     Region.push_back(U);
-    for (uint32_t W : Out[U]) {
+    purge(Out[slot(U)]);
+    for (uint32_t W : Out[slot(U)]) {
       if (W == From) {
-        Parent[From] = U;
+        Parent[slot(From)] = U;
         return false;
       }
-      if (Pos[W] < Limit && Mark[W] != Epoch) {
-        Mark[W] = Epoch;
-        Parent[W] = U;
+      if (Pos[slot(W)] < Limit && Mark[slot(W)] != Epoch) {
+        Mark[slot(W)] = Epoch;
+        Parent[slot(W)] = U;
         Stack.push_back(W);
       }
     }
@@ -49,7 +51,8 @@ bool IncrementalTopoOrder::discoverForward(uint32_t From, uint32_t To,
 
 bool IncrementalTopoOrder::addEdge(uint32_t From, uint32_t To,
                                    std::vector<uint32_t> *CyclePath) {
-  AWDIT_ASSERT(From < Pos.size() && To < Pos.size(),
+  AWDIT_ASSERT(From >= First && From < endNode() && To >= First &&
+                   To < endNode(),
                "addEdge: unknown node");
   if (From == To) {
     if (CyclePath) {
@@ -58,10 +61,10 @@ bool IncrementalTopoOrder::addEdge(uint32_t From, uint32_t To,
     }
     return false;
   }
-  uint32_t PosFrom = Pos[From], PosTo = Pos[To];
+  uint32_t PosFrom = Pos[slot(From)], PosTo = Pos[slot(To)];
   if (PosFrom < PosTo) {
-    Out[From].push_back(To);
-    In[To].push_back(From);
+    Out[slot(From)].push_back(To);
+    In[slot(To)].push_back(From);
     ++EdgeCount;
     return true;
   }
@@ -75,7 +78,7 @@ bool IncrementalTopoOrder::addEdge(uint32_t From, uint32_t To,
     // the discovery path To -> ... -> From from the parent pointers.
     if (CyclePath) {
       CyclePath->clear();
-      for (uint32_t N = From; N != To; N = Parent[N])
+      for (uint32_t N = From; N != To; N = Parent[slot(N)])
         CyclePath->push_back(N);
       CyclePath->push_back(To);
       std::reverse(CyclePath->begin(), CyclePath->end());
@@ -86,14 +89,15 @@ bool IncrementalTopoOrder::addEdge(uint32_t From, uint32_t To,
   // Backward discovery from From, bounded below by PosTo.
   Stack.clear();
   Stack.push_back(From);
-  Mark[From] = Epoch;
+  Mark[slot(From)] = Epoch;
   while (!Stack.empty()) {
     uint32_t U = Stack.back();
     Stack.pop_back();
     Bwd.push_back(U);
-    for (uint32_t W : In[U]) {
-      if (Pos[W] > PosTo && Mark[W] != Epoch) {
-        Mark[W] = Epoch;
+    purge(In[slot(U)]);
+    for (uint32_t W : In[slot(U)]) {
+      if (Pos[slot(W)] > PosTo && Mark[slot(W)] != Epoch) {
+        Mark[slot(W)] = Epoch;
         Stack.push_back(W);
       }
     }
@@ -103,123 +107,136 @@ bool IncrementalTopoOrder::addEdge(uint32_t From, uint32_t To,
   // affected positions in its existing relative order, then the forward
   // set (things reachable from To). That puts From before To while
   // preserving every other constraint inside the region.
-  auto ByPos = [this](uint32_t A, uint32_t B) { return Pos[A] < Pos[B]; };
+  auto ByPos = [this](uint32_t A, uint32_t B) {
+    return Pos[slot(A)] < Pos[slot(B)];
+  };
   std::sort(Fwd.begin(), Fwd.end(), ByPos);
   std::sort(Bwd.begin(), Bwd.end(), ByPos);
   std::vector<uint32_t> Slots;
   Slots.reserve(Fwd.size() + Bwd.size());
   for (uint32_t N : Bwd)
-    Slots.push_back(Pos[N]);
+    Slots.push_back(Pos[slot(N)]);
   for (uint32_t N : Fwd)
-    Slots.push_back(Pos[N]);
+    Slots.push_back(Pos[slot(N)]);
   std::sort(Slots.begin(), Slots.end());
   size_t Next = 0;
   for (uint32_t N : Bwd)
-    Pos[N] = Slots[Next++];
+    Pos[slot(N)] = Slots[Next++];
   for (uint32_t N : Fwd)
-    Pos[N] = Slots[Next++];
+    Pos[slot(N)] = Slots[Next++];
 
-  Out[From].push_back(To);
-  In[To].push_back(From);
+  Out[slot(From)].push_back(To);
+  In[slot(To)].push_back(From);
   ++EdgeCount;
   return true;
 }
 
+void IncrementalTopoOrder::purge(std::vector<uint32_t> &List) const {
+  List.erase(std::remove_if(List.begin(), List.end(),
+                            [this](uint32_t V) { return V < First; }),
+             List.end());
+}
+
 void IncrementalTopoOrder::removeEdge(uint32_t From, uint32_t To) {
-  auto Drop = [](std::vector<uint32_t> &List, uint32_t Value) {
+  auto Drop = [this](std::vector<uint32_t> &List, uint32_t Value) {
+    purge(List);
     auto It = std::find(List.begin(), List.end(), Value);
     AWDIT_ASSERT(It != List.end(), "removeEdge: edge not present");
     *It = List.back();
     List.pop_back();
   };
-  Drop(Out[From], To);
-  Drop(In[To], From);
+  Drop(Out[slot(From)], To);
+  Drop(In[slot(To)], From);
   --EdgeCount;
 }
 
-void IncrementalTopoOrder::clearEdgesAndCompact(uint32_t Cut) {
-  for (std::vector<uint32_t> &List : Out)
-    List.clear();
-  for (std::vector<uint32_t> &List : In)
-    List.clear();
-  EdgeCount = 0;
-  compactPrefix(Cut);
-}
-
-void IncrementalTopoOrder::compactPrefix(uint32_t Cut) {
-  if (Cut == 0)
-    return;
-  size_t N = Pos.size();
-  AWDIT_ASSERT(Cut <= N, "compactPrefix: cut beyond node count");
-  for (uint32_t Node = 0; Node < Cut; ++Node)
-    AWDIT_ASSERT(Out[Node].empty() && In[Node].empty(),
-                 "compactPrefix: dropped node still has edges");
-
-  Out.erase(Out.begin(), Out.begin() + Cut);
-  In.erase(In.begin(), In.begin() + Cut);
-  Pos.erase(Pos.begin(), Pos.begin() + Cut);
-  size_t Kept = N - Cut;
-  for (size_t Node = 0; Node < Kept; ++Node) {
-    for (uint32_t &W : Out[Node])
-      W -= Cut;
-    for (uint32_t &W : In[Node])
-      W -= Cut;
+void IncrementalTopoOrder::evictBelow(
+    uint32_t NewFirst, std::vector<std::pair<uint32_t, uint32_t>> &Removed) {
+  AWDIT_ASSERT(NewFirst >= First && NewFirst <= endNode(),
+               "evictBelow: cut outside the live nodes");
+  // Report each edge once: every out-edge of a retired node, and the
+  // in-edges coming from survivors. The survivors' mirror entries become
+  // retired ids, purged when their list is next walked.
+  for (uint32_t N = First; N < NewFirst; ++N) {
+    for (uint32_t W : Out[slot(N)])
+      if (W >= First)
+        Removed.emplace_back(N, W);
+    for (uint32_t U : In[slot(N)])
+      if (U >= NewFirst)
+        Removed.emplace_back(U, N);
+    std::vector<uint32_t>().swap(Out[slot(N)]);
+    std::vector<uint32_t>().swap(In[slot(N)]);
   }
-  // Compress the surviving positions to [0, Kept) preserving order.
-  std::vector<uint32_t> ByPos(Kept);
-  for (uint32_t Node = 0; Node < Kept; ++Node)
-    ByPos[Node] = Node;
-  std::sort(ByPos.begin(), ByPos.end(), [this](uint32_t A, uint32_t B) {
-    return Pos[A] < Pos[B];
-  });
-  for (uint32_t Rank = 0; Rank < Kept; ++Rank)
-    Pos[ByPos[Rank]] = Rank;
+  EdgeCount -= Removed.size();
 
-  Mark.assign(Kept, 0);
-  Parent.assign(Kept, 0);
-  Epoch = 0;
+  First = NewFirst;
+  size_t Dead = First - NodeBase;
+  if (Dead < 64 || Dead < Pos.size() - Dead)
+    return;
+  Out.erase(Out.begin(), Out.begin() + Dead);
+  In.erase(In.begin(), In.begin() + Dead);
+  Pos.erase(Pos.begin(), Pos.begin() + Dead);
+  Mark.erase(Mark.begin(), Mark.begin() + Dead);
+  Parent.erase(Parent.begin(), Parent.begin() + Dead);
+  NodeBase = First;
 }
 
 //===----------------------------------------------------------------------===//
 // Checkpoint support.
 //===----------------------------------------------------------------------===//
 
-void IncrementalTopoOrder::saveState(ByteWriter &W, uint32_t IdBase,
+void IncrementalTopoOrder::saveState(ByteWriter &W, bool Localize,
                                      uint64_t KindBase) const {
-  size_t N = Pos.size();
+  size_t N = numNodes();
   W.chunk(chunkId(KindBase));
   W.u64(N);
-  // Positions are order ranks, not ids: a uniform offset cannot make them
-  // rebase-invariant, so they are written raw (a compaction dirties every
-  // position chunk — accepted; positions are 4 bytes per node).
-  for (size_t I = 0; I < N; ++I) {
-    W.chunk(chunkId(KindBase, 1 + ((IdBase + I) >> 6)));
-    W.u32(Pos[I]);
+  // The v1 layout numbers positions densely; ranks preserve every
+  // comparison, which is all positions are used for.
+  std::vector<uint32_t> Rank;
+  if (Localize) {
+    std::vector<uint32_t> ByPos(N);
+    for (uint32_t I = 0; I < N; ++I)
+      ByPos[I] = I;
+    std::sort(ByPos.begin(), ByPos.end(), [&](uint32_t A, uint32_t B) {
+      return Pos[slot(First + A)] < Pos[slot(First + B)];
+    });
+    Rank.resize(N);
+    for (uint32_t R = 0; R < N; ++R)
+      Rank[ByPos[R]] = R;
   }
-  // Adjacency values are node ids: globalized so a row whose edges
-  // survive compaction keeps identical bytes.
+  for (size_t I = 0; I < N; ++I) {
+    W.chunk(chunkId(KindBase, 1 + ((First + I) >> 6)));
+    W.u32(Localize ? Rank[I] : Pos[slot(First + static_cast<uint32_t>(I))]);
+  }
+  uint32_t IdShift = Localize ? First : 0;
   auto SaveAdjacency = [&](const std::vector<std::vector<uint32_t>> &Lists,
                            uint64_t Kind) {
     W.chunk(chunkId(Kind));
-    for (size_t I = 0; I < Lists.size(); ++I) {
-      W.chunk(chunkId(Kind, 1 + ((IdBase + I) >> 4)));
-      const std::vector<uint32_t> &List = Lists[I];
-      W.u64(List.size());
+    for (size_t I = 0; I < N; ++I) {
+      W.chunk(chunkId(Kind, 1 + ((First + I) >> 4)));
+      const std::vector<uint32_t> &List =
+          Lists[slot(First + static_cast<uint32_t>(I))];
+      W.u64(std::count_if(List.begin(), List.end(),
+                          [&](uint32_t V) { return V >= First; }));
       for (uint32_t V : List)
-        W.u32(V + IdBase);
+        if (V >= First)
+          W.u32(V - IdShift);
     }
   };
   SaveAdjacency(Out, KindBase + 1);
   SaveAdjacency(In, KindBase + 2);
 }
 
-bool IncrementalTopoOrder::loadState(ByteReader &R, uint32_t IdBase) {
+bool IncrementalTopoOrder::loadState(ByteReader &R, uint32_t FirstId,
+                                     bool Localized) {
   uint64_t N = R.u64();
   if (!R.checkCount(N, 4))
     return false;
+  NodeBase = First = FirstId;
   Pos.resize(N);
   for (uint64_t I = 0; I < N; ++I)
     Pos[I] = R.u32();
+  uint32_t IdShift = Localized ? FirstId : 0;
   auto LoadAdjacency = [&](std::vector<std::vector<uint32_t>> &Lists) {
     Lists.assign(N, {});
     for (uint64_t I = 0; I < N && R.ok(); ++I) {
@@ -228,7 +245,7 @@ bool IncrementalTopoOrder::loadState(ByteReader &R, uint32_t IdBase) {
         return;
       Lists[I].resize(Len);
       for (uint64_t J = 0; J < Len; ++J)
-        Lists[I][J] = R.u32() - IdBase;
+        Lists[I][J] = R.u32() + IdShift;
     }
   };
   LoadAdjacency(Out);
@@ -236,7 +253,7 @@ bool IncrementalTopoOrder::loadState(ByteReader &R, uint32_t IdBase) {
   EdgeCount = 0;
   for (const std::vector<uint32_t> &List : Out)
     EdgeCount += List.size();
-  // DFS scratch is transient; reset like compactPrefix does.
+  // DFS scratch is transient.
   Mark.assign(N, 0);
   Parent.assign(N, 0);
   Epoch = 0;

@@ -37,19 +37,29 @@ class ByteReader;
 /// the caller decides what to do with it (the saturation engine reports a
 /// violation and quarantines the edge).
 ///
+/// Node ids are never renumbered: evictBelow() retires a prefix of ids
+/// and the survivors keep theirs. Positions are only ever compared, so
+/// they need no renumbering either — a node's initial position is its id,
+/// and after evictions the live positions are simply sparse.
+///
 /// Each distinct (From, To) pair may be inserted at most once; the caller
 /// deduplicates (the saturation engine refcounts edges per source).
 class IncrementalTopoOrder {
 public:
-  /// Appends \p Count nodes at the end of the order.
+  /// Appends \p Count nodes at the end of the order, with the next ids.
   void addNodes(size_t Count);
 
-  size_t numNodes() const { return Pos.size(); }
+  /// The live node ids are [firstNode(), endNode()).
+  uint32_t firstNode() const { return First; }
+  uint32_t endNode() const {
+    return NodeBase + static_cast<uint32_t>(Pos.size());
+  }
+  size_t numNodes() const { return endNode() - First; }
   size_t numEdges() const { return EdgeCount; }
 
-  /// Position of node \p N in the maintained order (a permutation of
-  /// [0, numNodes())).
-  uint32_t position(uint32_t N) const { return Pos[N]; }
+  /// Position of node \p N in the maintained order. Distinct per node and
+  /// only meaningful relative to other positions.
+  uint32_t position(uint32_t N) const { return Pos[N - NodeBase]; }
 
   /// Inserts the edge \p From -> \p To, reordering the affected region if
   /// needed. Returns true on success (the order stays valid). Returns
@@ -64,18 +74,25 @@ public:
   /// an edge never invalidates a topological order, so this is O(deg).
   void removeEdge(uint32_t From, uint32_t To);
 
-  /// Drops the node prefix [0, \p Cut) and renumbers the survivors to
-  /// [0, n - Cut), preserving their relative order. Every edge incident to
-  /// a dropped node must have been removed first.
-  void compactPrefix(uint32_t Cut);
+  /// Retires the nodes [firstNode(), \p NewFirst) together with every
+  /// edge incident to them (\p Removed receives \p Removed.size() of them
+  /// as (from, to), the caller's buffer starting empty). Survivors keep
+  /// their ids, positions and the order of their remaining adjacency: a
+  /// survivor's entry for a retired node stays behind as a retired id and
+  /// is purged the next time its list is walked. The retired storage is
+  /// released once it outweighs the live part, so eviction costs O(the
+  /// retired nodes' own adjacency), amortized.
+  void evictBelow(uint32_t NewFirst,
+                  std::vector<std::pair<uint32_t, uint32_t>> &Removed);
 
-  /// Drops every edge, then the node prefix [0, \p Cut) as compactPrefix
-  /// does. Eviction compaction uses this and re-inserts the surviving
-  /// edges itself (all forward in the preserved order, so O(1) each).
-  void clearEdgesAndCompact(uint32_t Cut);
-
-  const std::vector<uint32_t> &succs(uint32_t N) const { return Out[N]; }
-  const std::vector<uint32_t> &preds(uint32_t N) const { return In[N]; }
+  /// Adjacency of \p N. May hold retired ids (below firstNode()), which
+  /// are not edges.
+  const std::vector<uint32_t> &succs(uint32_t N) const {
+    return Out[N - NodeBase];
+  }
+  const std::vector<uint32_t> &preds(uint32_t N) const {
+    return In[N - NodeBase];
+  }
 
   /// Checkpoint support (checker/checkpoint.h): serializes the maintained
   /// order and adjacency *verbatim* — positions and adjacency-list order
@@ -84,14 +101,15 @@ public:
   /// not a rebuilt-equivalent one. The DFS scratch (epoch marks) is
   /// transient and reset on load.
   ///
-  /// For chunked (checkpoint-v2) serialization, \p IdBase globalizes
-  /// adjacency node ids (loadState must be given the same base back) and
-  /// \p KindBase numbers the emitted chunk sections — this class claims
-  /// kinds KindBase..KindBase+2 (positions, out-, in-adjacency). The
-  /// defaults write the historical v1 bytes with no marks.
-  void saveState(ByteWriter &W, uint32_t IdBase = 0,
-                 uint64_t KindBase = 0) const;
-  bool loadState(ByteReader &R, uint32_t IdBase = 0);
+  /// The chunked (checkpoint-v2) layout writes node ids and positions as
+  /// they are in memory; \p KindBase numbers the emitted chunk sections —
+  /// this class claims kinds KindBase..KindBase+2 (positions, out-,
+  /// in-adjacency). \p Localize writes the v1 layout instead: ids relative
+  /// to firstNode() and positions as dense ranks.
+  void saveState(ByteWriter &W, bool Localize, uint64_t KindBase = 0) const;
+  /// Restores saveState() bytes whose first node is \p FirstId;
+  /// \p Localized says they were written with Localize.
+  bool loadState(ByteReader &R, uint32_t FirstId, bool Localized);
 
 private:
   /// Forward discovery from \p To bounded by position \p Limit. Returns
@@ -100,10 +118,19 @@ private:
   bool discoverForward(uint32_t From, uint32_t To, uint32_t Limit,
                        std::vector<uint32_t> &Region);
 
+  /// Drops retired ids from \p List, keeping the order of the rest.
+  void purge(std::vector<uint32_t> &List) const;
+
+  /// Storage index of node \p N.
+  uint32_t slot(uint32_t N) const { return N - NodeBase; }
+
+  /// Per-node storage, indexed by id - NodeBase. Slots below First belong
+  /// to retired nodes awaiting release.
   std::vector<std::vector<uint32_t>> Out;
   std::vector<std::vector<uint32_t>> In;
-  /// Node -> order position (a permutation of [0, n)).
   std::vector<uint32_t> Pos;
+  uint32_t NodeBase = 0;
+  uint32_t First = 0;
   size_t EdgeCount = 0;
 
   // Epoch-stamped DFS scratch, reused across insertions.

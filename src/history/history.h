@@ -30,17 +30,36 @@ class History {
 public:
   History() = default;
 
-  /// All transactions, committed and aborted. TxnId indexes this vector.
+  /// All transactions, committed and aborted. TxnId - txnBase() indexes
+  /// this vector.
   const std::vector<Transaction> &transactions() const { return Txns; }
 
-  const Transaction &txn(TxnId Id) const { return Txns[Id]; }
+  const Transaction &txn(TxnId Id) const { return Txns[Id - TxnBase]; }
+
+  /// Id of the first stored transaction. 0 for every history except the
+  /// streaming Monitor's live window, whose ids stay global while eviction
+  /// drops its prefix.
+  TxnId txnBase() const { return TxnBase; }
+  /// One past the last stored transaction id.
+  TxnId txnEnd() const { return TxnBase + static_cast<TxnId>(Txns.size()); }
 
   /// Number of sessions k.
   size_t numSessions() const { return Sessions.size(); }
 
-  /// Committed transactions of session \p S in so order (H|s).
+  /// Committed transactions of session \p S in so order (H|s). The first
+  /// one sits at so position soBase(S).
   const std::vector<TxnId> &sessionTxns(SessionId S) const {
     return Sessions[S];
+  }
+
+  /// So position of sessionTxns(S)[0]: 0 except in the Monitor's window.
+  uint32_t soBase(SessionId S) const {
+    return SoBase.empty() ? 0 : SoBase[S];
+  }
+
+  /// The committed transaction of session \p S at so position \p SoIndex.
+  TxnId sessionMember(SessionId S, uint32_t SoIndex) const {
+    return Sessions[S][SoIndex - soBase(S)];
   }
 
   /// Total number of operations n (the history's size, paper §2.1),
@@ -57,7 +76,7 @@ public:
   size_t numKeys() const { return KeyCount; }
 
   /// Returns true if \p Id refers to a committed transaction.
-  bool isCommitted(TxnId Id) const { return Txns[Id].Committed; }
+  bool isCommitted(TxnId Id) const { return txn(Id).Committed; }
 
   /// The committed transaction so-after \p Id in its session, or NoTxn.
   TxnId soSuccessor(TxnId Id) const;
@@ -65,7 +84,7 @@ public:
   /// Returns true if \p A is so-before-or-equal \p B (same session and
   /// A's SoIndex <= B's). Both must be committed.
   bool soBeforeOrEqual(TxnId A, TxnId B) const {
-    const Transaction &TA = Txns[A], &TB = Txns[B];
+    const Transaction &TA = txn(A), &TB = txn(B);
     return TA.Session == TB.Session && TA.SoIndex <= TB.SoIndex;
   }
 
@@ -79,8 +98,11 @@ private:
   friend class Monitor;
 
   std::vector<Transaction> Txns;
+  TxnId TxnBase = 0;
   /// Committed transactions per session, in so order.
   std::vector<std::vector<TxnId>> Sessions;
+  /// Per-session so position of Sessions[S][0]; empty means all 0.
+  std::vector<uint32_t> SoBase;
   size_t TotalOps = 0;
   size_t CommittedCount = 0;
   size_t KeyCount = 0;

@@ -85,21 +85,6 @@ public:
       F(KV, Site);
   }
 
-  /// Rewrites every stored transaction id through \p Remap(old) -> new.
-  /// Entries for which \p Remap returns NoTxn are dropped (evicted
-  /// writers). Used by the windowed Monitor's compaction.
-  template <typename RemapFn> void remapTxns(RemapFn &&Remap) {
-    for (auto It = Index.begin(); It != Index.end();) {
-      TxnId NewId = Remap(It->second.T);
-      if (NewId == NoTxn) {
-        It = Index.erase(It);
-      } else {
-        It->second.T = NewId;
-        ++It;
-      }
-    }
-  }
-
 private:
   std::unordered_map<KeyValue, WriteSite, KeyValueHash> Index;
 };

@@ -181,6 +181,8 @@ const char *awdit::obs::flushPhaseName(FlushPhase P) {
     return "pk";
   case FlushPhase::Finalize:
     return "finalize";
+  case FlushPhase::Evict:
+    return "evict";
   }
   return "unknown";
 }

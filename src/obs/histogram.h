@@ -127,14 +127,17 @@ private:
 /// The flush phases metered by checker/monitor.cpp. Pk overlaps the
 /// others (it accumulates inside the topological-order maintenance that
 /// the delta/merge phases call into); the rest partition a flush.
+/// Finalize delivers the pass's violations; Evict applies the window
+/// horizons.
 enum class FlushPhase : unsigned {
   DeltaBuild = 0,
   Speculate,
   Merge,
   Pk,
-  Finalize
+  Finalize,
+  Evict
 };
-inline constexpr unsigned NumFlushPhases = 5;
+inline constexpr unsigned NumFlushPhases = 6;
 const char *flushPhaseName(FlushPhase P); ///< "delta_build", "speculate", ...
 
 /// The sharded-ingest stages metered by io/sharded_ingest.cpp.

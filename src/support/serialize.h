@@ -49,22 +49,6 @@ inline constexpr uint64_t chunkId(uint64_t Kind, uint64_t Sub = 0) {
   return (Kind << 56) | (Sub < MaxSub ? Sub : MaxSub);
 }
 
-/// The optional local-to-global coordinate transform of chunked
-/// serialization. Windowed eviction rebases every local transaction id
-/// (by the window base) and every session-order index (by the per-session
-/// evicted count) at nearly every flush, so locally-addressed bytes churn
-/// completely between checkpoints. Serializing ids in global coordinates —
-/// local + base, applied on save and inverted on load with the same bases
-/// captured alongside the bytes — makes the serialized form of surviving
-/// state rebase-invariant. A null transform (the v1 snapshot path) writes
-/// raw local values: byte-identical to the historical format.
-struct StateCoords {
-  /// Added to every local transaction id (Monitor::Base).
-  uint32_t IdBase = 0;
-  /// Added per session to so-indices/frontiers (Monitor::SessionSoBase).
-  const std::vector<uint64_t> *SoBase = nullptr;
-};
-
 /// Appends little-endian fields to a byte buffer.
 class ByteWriter {
 public:

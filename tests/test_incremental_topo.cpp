@@ -3,7 +3,7 @@
 // Unit battery for the dynamically maintained topological order behind the
 // incremental saturation engine: the order invariant must hold after any
 // acyclic insertion sequence, a cycle-closing insertion must be rejected
-// with a genuine path, deletions and prefix compaction must preserve the
+// with a genuine path, deletions and prefix eviction must preserve the
 // invariant.
 //
 //===----------------------------------------------------------------------===//
@@ -23,15 +23,18 @@ namespace {
 
 /// The maintained invariant: every edge goes forward in the order.
 void expectOrderValid(const IncrementalTopoOrder &G) {
-  std::vector<bool> SeenPos(G.numNodes(), false);
-  for (uint32_t N = 0; N < G.numNodes(); ++N) {
+  std::vector<bool> SeenPos(G.endNode(), false);
+  for (uint32_t N = G.firstNode(); N < G.endNode(); ++N) {
     uint32_t P = G.position(N);
-    ASSERT_LT(P, G.numNodes());
+    ASSERT_LT(P, G.endNode());
     EXPECT_FALSE(SeenPos[P]) << "position " << P << " assigned twice";
     SeenPos[P] = true;
-    for (uint32_t S : G.succs(N))
+    for (uint32_t S : G.succs(N)) {
+      if (S < G.firstNode())
+        continue; // a retired node's leftover entry
       EXPECT_LT(G.position(N), G.position(S))
           << "edge " << N << " -> " << S << " violates the order";
+    }
   }
 }
 
@@ -152,7 +155,7 @@ TEST(IncrementalTopo, RandomizedAgainstReachability) {
   }
 }
 
-TEST(IncrementalTopo, CompactPrefixPreservesOrder) {
+TEST(IncrementalTopo, EvictBelowKeepsIdsAndOrder) {
   IncrementalTopoOrder G;
   G.addNodes(8);
   // A few backward insertions to scramble positions first.
@@ -162,29 +165,45 @@ TEST(IncrementalTopo, CompactPrefixPreservesOrder) {
   ASSERT_TRUE(G.addEdge(0, 1));
   // Remove everything incident to the prefix [0, 2).
   G.removeEdge(0, 1);
-  uint32_t Pos5Before = G.position(5), Pos3Before = G.position(3);
-  bool FiveBeforeThree = Pos5Before < Pos3Before;
-  G.compactPrefix(2);
+  uint32_t Pos5 = G.position(5), Pos3 = G.position(3);
+  std::vector<std::pair<uint32_t, uint32_t>> Removed;
+  G.evictBelow(2, Removed);
+  EXPECT_TRUE(Removed.empty());
   ASSERT_EQ(G.numNodes(), 6u);
-  // Old node 5 is now 3, old 3 is now 1; relative order preserved.
-  EXPECT_EQ(G.position(3) < G.position(1), FiveBeforeThree);
+  EXPECT_EQ(G.firstNode(), 2u);
+  // Survivors keep their ids, positions and edges.
+  EXPECT_EQ(G.position(5), Pos5);
+  EXPECT_EQ(G.position(3), Pos3);
+  EXPECT_EQ(G.numEdges(), 3u);
+  const std::vector<uint32_t> &S5 = G.succs(5);
+  EXPECT_NE(std::find(S5.begin(), S5.end(), 2u), S5.end());
   expectOrderValid(G);
-  // Surviving edges remapped: 5->2 became 3->0, 7->3 became 5->1,
-  // 2->3 became 0->1.
-  const std::vector<uint32_t> &S3 = G.succs(3);
-  EXPECT_NE(std::find(S3.begin(), S3.end(), 0u), S3.end());
+  // New nodes take the next ids and join the end of the order.
+  G.addNodes(2);
+  EXPECT_EQ(G.endNode(), 10u);
+  EXPECT_TRUE(G.addEdge(9, 8));
+  EXPECT_FALSE(G.addEdge(3, 5));
+  expectOrderValid(G);
 }
 
-TEST(IncrementalTopo, ClearEdgesAndCompactDropsEverything) {
+TEST(IncrementalTopo, LongSlidingWindowStaysValid) {
+  // A window of 32 nodes slides over 5000. Every new node points back at
+  // its predecessor and at a node half a window older — backward edges, so
+  // each insertion reorders — and the oldest node leaves.
   IncrementalTopoOrder G;
-  G.addNodes(6);
-  ASSERT_TRUE(G.addEdge(0, 3));
-  ASSERT_TRUE(G.addEdge(3, 5));
-  ASSERT_TRUE(G.addEdge(4, 1));
-  G.clearEdgesAndCompact(3);
-  EXPECT_EQ(G.numNodes(), 3u);
-  EXPECT_EQ(G.numEdges(), 0u);
-  // Re-inserting in the surviving order is forward.
-  EXPECT_TRUE(G.addEdge(0, 2));
+  G.addNodes(32);
+  for (uint32_t N = 0; N + 32 < 5000; ++N) {
+    G.addNodes(1);
+    uint32_t New = G.endNode() - 1;
+    ASSERT_TRUE(G.addEdge(New, New - 1));
+    ASSERT_TRUE(G.addEdge(New, N + 16));
+    // Retire N with its edges. Its own out-edges point at nodes already
+    // retired; what remains are the edges into it from N + 16 (added once
+    // N >= 16) and from N + 1 (a new node once N >= 31).
+    std::vector<std::pair<uint32_t, uint32_t>> Removed;
+    G.evictBelow(N + 1, Removed);
+    ASSERT_EQ(Removed.size(), size_t(N >= 16) + size_t(N >= 31)) << N;
+  }
+  EXPECT_EQ(G.numNodes(), 32u);
   expectOrderValid(G);
 }
