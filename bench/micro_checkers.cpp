@@ -30,7 +30,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -398,6 +400,73 @@ static void BM_MonitorFlushScalingCc(benchmark::State &State) {
                           TailOps);
 }
 BENCHMARK(BM_MonitorFlushScalingCc)->Arg(4096)->Arg(16384)->Arg(65536);
+
+// Steady state of the windowed CC monitor, the regime operators run: the
+// window is full and every checking pass evicts. A monitor is prefilled to
+// `window` transactions (untimed), then five consecutive 2048-transaction
+// tails are timed one by one; the reported time is the median tail, and
+// items are transactions. Eviction that costs O(evicted) keeps the time per
+// transaction flat as the window grows; the 65536 case therefore also times
+// the 4096 case in-process and reports per_txn_ratio_64k_over_4k (CI gates
+// it at <= 2, independent of the runner's speed).
+static double steadyStateSecondsPerTail(size_t Window, size_t Tail) {
+  constexpr size_t Tails = 5;
+  const History &H = cachedHistory(Window + Tails * Tail);
+  MonitorOptions Options;
+  Options.Level = IsolationLevel::CausalConsistency;
+  Options.Check.MaxWitnesses = 1;
+  Options.CheckIntervalTxns = 256;
+  Options.WindowTxns = Window;
+  Monitor M(Options);
+  while (M.numSessions() < H.numSessions())
+    M.addSession();
+  auto Feed = [&](TxnId Begin, TxnId End) {
+    for (TxnId Id = Begin; Id < End; ++Id) {
+      const Transaction &T = H.txn(Id);
+      TxnId Mid = M.beginTxn(T.Session);
+      for (const Operation &Op : T.Ops)
+        M.append(Mid, Op);
+      if (T.Committed)
+        M.commit(Mid);
+      else
+        M.abortTxn(Mid);
+    }
+  };
+  Feed(0, static_cast<TxnId>(Window));
+  std::vector<double> Seconds;
+  for (size_t I = 0; I < Tails; ++I) {
+    TxnId Begin = static_cast<TxnId>(Window + I * Tail);
+    auto T0 = std::chrono::steady_clock::now();
+    Feed(Begin, Begin + static_cast<TxnId>(Tail));
+    Seconds.push_back(std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - T0)
+                          .count());
+  }
+  std::sort(Seconds.begin(), Seconds.end());
+  return Seconds[Tails / 2];
+}
+
+static void BM_MonitorSteadyStateCc(benchmark::State &State) {
+  constexpr size_t Tail = 2048;
+  size_t Window = static_cast<size_t>(State.range(0));
+  double Seconds = 0;
+  for (auto _ : State) {
+    Seconds = steadyStateSecondsPerTail(Window, Tail);
+    State.SetIterationTime(Seconds);
+  }
+  State.SetItemsProcessed(static_cast<int64_t>(State.iterations()) *
+                          static_cast<int64_t>(Tail));
+  State.counters["ns_per_txn"] = Seconds * 1e9 / Tail;
+  if (Window == 65536)
+    State.counters["per_txn_ratio_64k_over_4k"] =
+        Seconds / steadyStateSecondsPerTail(4096, Tail);
+}
+BENCHMARK(BM_MonitorSteadyStateCc)
+    ->Arg(4096)
+    ->Arg(16384)
+    ->Arg(65536)
+    ->UseManualTime()
+    ->Iterations(1);
 
 // The late bulk writer: c-twitter's initial-state transaction, which
 // writes every key's initial value, is the stream's last transaction. Each

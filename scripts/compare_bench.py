@@ -33,10 +33,13 @@ like the unusable-baseline skip above.
 
 Counter-gate mode:
   compare_bench.py --counter-gate CURRENT.json --bench BM_CheckpointDelta/65536
-                   --counter reduction_x --min-value 10 [--summary-out FILE]
+                   --counter reduction_x [--min-value 10] [--max-value V]
+                   [--summary-out FILE]
 
 Reads one results file and fails with exit code 1 unless the named user
-counter on the named benchmark is at least --min-value. Unlike throughput
+counter on the named benchmark is at least --min-value and at most
+--max-value (a ceiling, e.g. a cost ratio that must stay flat). Without
+either bound the floor defaults to 10. Unlike throughput
 comparisons this needs no baseline artifact: the benchmark itself computes
 a ratio (e.g. full-snapshot bytes over delta bytes per checkpoint) and the
 gate pins its floor. A missing benchmark or counter fails the run — a gate
@@ -217,19 +220,27 @@ def run_counter_gate(args, summary_path):
               f"benchmarks matching '{args.bench}'")
         return 1
     value = statistics.median(matched.values())
-    ok = value >= args.min_value
-    print(f"  {args.bench}: {args.counter} = {value:.4g} "
-          f"(gate >= {args.min_value:.4g})")
+    low, high = args.min_value, args.max_value
+    if low is None and high is None:
+        low = 10.0
+    bounds = []
+    if low is not None:
+        bounds.append(f">= {low:.4g}")
+    if high is not None:
+        bounds.append(f"<= {high:.4g}")
+    gate = " and ".join(bounds)
+    ok = (low is None or value >= low) and (high is None or value <= high)
+    print(f"  {args.bench}: {args.counter} = {value:.4g} (gate {gate})")
     append_summary(summary_path, [
         f"### Counter gate: `{args.bench}`", "",
         "| counter | value | gate | |",
         "|---|---:|---:|---|",
-        f"| `{args.counter}` | {value:.4g} | >= {args.min_value:.4g} | "
+        f"| `{args.counter}` | {value:.4g} | {gate} | "
         f"{'✅' if ok else '❌'} |",
     ])
     if not ok:
-        print(f"FAIL: {args.counter} is {value:.4g}, below the gate "
-              f"{args.min_value:.4g}")
+        print(f"FAIL: {args.counter} is {value:.4g}, outside the gate "
+              f"{gate}")
         return 1
     print("counter gate passed")
     return 0
@@ -262,8 +273,11 @@ def main():
                         help="gate on a user counter in one results file")
     parser.add_argument("--counter", default="reduction_x",
                         help="user counter name for --counter-gate")
-    parser.add_argument("--min-value", type=float, default=10.0,
-                        help="required counter floor for --counter-gate")
+    parser.add_argument("--min-value", type=float, default=None,
+                        help="required counter floor for --counter-gate "
+                             "(default 10 unless --max-value is given)")
+    parser.add_argument("--max-value", type=float, default=None,
+                        help="required counter ceiling for --counter-gate")
     parser.add_argument("--summary-out", default=None,
                         help="append a markdown table here "
                              "(default: $GITHUB_STEP_SUMMARY when set)")

@@ -231,6 +231,29 @@ class CompareBenchTest(unittest.TestCase):
         self.assertIn("Counter gate", text)
         self.assertIn("reduction_x", text)
 
+    def test_counter_gate_max_value_is_a_ceiling(self):
+        # A cost ratio that must stay flat: passes at or below the ceiling,
+        # fails above it, and the default floor of 10 no longer applies.
+        for ratio, want in ((1.4, 0), (2.0, 0), (2.6, 1)):
+            cur = self.counter_file(ratio)
+            code, out = self.run_script(
+                "--counter-gate", cur, "--bench", "BM_CheckpointDelta/65536",
+                "--counter", "reduction_x", "--max-value", "2")
+            self.assertEqual(code, want, f"ratio {ratio}: {out}")
+            if want:
+                self.assertIn("FAIL", out)
+
+    def test_counter_gate_min_and_max_together(self):
+        cur = self.counter_file(12.5)
+        code, out = self.run_script(
+            "--counter-gate", cur, "--bench", "BM_CheckpointDelta/65536",
+            "--min-value", "10", "--max-value", "12")
+        self.assertEqual(code, 1, out)
+        code, out = self.run_script(
+            "--counter-gate", cur, "--bench", "BM_CheckpointDelta/65536",
+            "--min-value", "10", "--max-value", "13")
+        self.assertEqual(code, 0, out)
+
     def test_scaling_and_counter_gate_are_exclusive(self):
         cur = self.counter_file(12.5)
         code, _ = self.run_script("--scaling", "--counter-gate", cur)

@@ -146,6 +146,12 @@ Socket TcpListener::accept() const {
     int Fd = ::accept(Sock.fd(), nullptr, nullptr);
     if (Fd < 0 && errno == EINTR)
       continue;
+    if (Fd >= 0) {
+      // Replies are small lines; without this an ack waits for the peer's
+      // delayed ACK (tens of milliseconds) behind the previous one.
+      int One = 1;
+      ::setsockopt(Fd, IPPROTO_TCP, TCP_NODELAY, &One, sizeof(One));
+    }
     return Socket(Fd);
   }
 }

@@ -100,8 +100,8 @@ public:
   /// The bound port (the kernel's pick when listenOn() was given port 0).
   uint16_t port() const { return BoundPort; }
 
-  /// Accepts one connection (blocking, EINTR-retrying). Invalid Socket on
-  /// error.
+  /// Accepts one connection (blocking, EINTR-retrying) with TCP_NODELAY
+  /// set, as tcpConnect() sets it. Invalid Socket on error.
   Socket accept() const;
 
   void close() { Sock.close(); }

@@ -257,6 +257,7 @@ TEST(Histogram, PhaseAndStageNames) {
   EXPECT_STREQ(obs::flushPhaseName(obs::FlushPhase::DeltaBuild),
                "delta_build");
   EXPECT_STREQ(obs::flushPhaseName(obs::FlushPhase::Finalize), "finalize");
+  EXPECT_STREQ(obs::flushPhaseName(obs::FlushPhase::Evict), "evict");
   EXPECT_STREQ(obs::ingestStageName(obs::IngestStage::Reader), "reader");
   EXPECT_STREQ(obs::ingestStageName(obs::IngestStage::Apply), "apply");
 }
@@ -594,7 +595,7 @@ TEST(Trace, ShardedPipelineLeavesAllStageSpans) {
   for (const char *Span :
        {"\"ingest.read\"", "\"ingest.decode\"", "\"ingest.apply\"",
         "\"flush\"", "\"flush.read_check\"", "\"flush.delta\"",
-        "\"flush.finalize\"", "\"checkpoint.v1\""})
+        "\"flush.finalize\"", "\"flush.evict\"", "\"checkpoint.v1\""})
     EXPECT_NE(Json.find(Span), std::string::npos) << "missing " << Span;
   // Worker threads named their tracks.
   EXPECT_NE(Json.find("\"applier\""), std::string::npos);

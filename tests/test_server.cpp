@@ -608,6 +608,9 @@ TEST(ServerEndToEnd, StatsDeepCarriesLatencyPercentiles) {
   EXPECT_NE(SessDeep.find("\"flush_phase_micros\":{\"delta_build\":"),
             std::string::npos)
       << SessDeep;
+  // Eviction is its own phase, after finalize.
+  EXPECT_NE(SessDeep.find("\"finalize\":"), std::string::npos) << SessDeep;
+  EXPECT_NE(SessDeep.find("\"evict\":"), std::string::npos) << SessDeep;
   H.stop();
 }
 

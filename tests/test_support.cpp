@@ -1,9 +1,14 @@
 //===- tests/test_support.cpp - Support utilities tests ----------------------===//
 
 #include "support/rng.h"
+#include "support/socket.h"
 #include "support/timer.h"
 
 #include <gtest/gtest.h>
+
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 
 #include <set>
 
@@ -132,4 +137,21 @@ TEST(Deadline, TinyDeadlineExpires) {
   for (int I = 0; I < 100000; ++I)
     Sink = Sink + I;
   EXPECT_TRUE(D.expired());
+}
+
+TEST(Socket, AcceptedSocketsDisableNagle) {
+  TcpListener Listener;
+  std::string Err;
+  ASSERT_TRUE(Listener.listenOn("127.0.0.1", 0, &Err)) << Err;
+  Socket Client = tcpConnect("127.0.0.1", Listener.port(), &Err);
+  ASSERT_TRUE(Client.valid()) << Err;
+  Socket Accepted = Listener.accept();
+  ASSERT_TRUE(Accepted.valid());
+  for (const Socket *S : {&Accepted, &Client}) {
+    int NoDelay = 0;
+    socklen_t Len = sizeof(NoDelay);
+    ASSERT_EQ(::getsockopt(S->fd(), IPPROTO_TCP, TCP_NODELAY, &NoDelay, &Len),
+              0);
+    EXPECT_NE(NoDelay, 0);
+  }
 }
