@@ -169,6 +169,11 @@ void Monitor::closeTxn(TxnId Id, bool Committed) {
 
 bool Monitor::deriveTxn(TxnId Id) {
   Transaction &T = txnRef(Id);
+  // The previous derivation, if any: a read resolves to the same writer
+  // every time (values are unique), so what it already recorded — the
+  // parked unresolved read, the writer's reader-index entry — stays valid.
+  std::vector<ReadInfo> &Prev = PrevReads;
+  Prev.swap(T.Reads);
   T.Reads.clear();
 
   bool AllWritersClosed = true;
@@ -184,10 +189,12 @@ bool Monitor::deriveTxn(TxnId Id) {
         RI.WriterOp = Site->Op;
       }
     }
+    uint32_t ReadIdx = static_cast<uint32_t>(T.Reads.size());
+    bool Known = ReadIdx < Prev.size() && Prev[ReadIdx].Writer == RI.Writer;
     T.Reads.push_back(RI);
 
     if (RI.Writer == NoTxn) {
-      if (!Masked) {
+      if (!Masked && !Known) {
         // No write site yet: park the read for retroactive resolution.
         std::vector<std::pair<TxnId, uint32_t>> &Waiters =
             PendingReads[KeyValue{Op.K, Op.V}];
@@ -201,7 +208,8 @@ bool Monitor::deriveTxn(TxnId Id) {
     }
     if (RI.Writer == Id)
       continue; // Internal read; never external.
-    noteReader(RI.Writer, Id, static_cast<uint32_t>(T.Reads.size() - 1));
+    if (!Known)
+      noteReader(RI.Writer, Id, ReadIdx);
     if (meta(RI.Writer).Open) {
       // The writer's commit status is unknown; re-derive when it closes.
       AllWritersClosed = false;
@@ -307,6 +315,10 @@ void Monitor::countKey(Key K) {
 }
 
 void Monitor::noteReader(TxnId Writer, TxnId Reader, uint32_t ReadIdx) {
+  // Only eviction reads the index; a monitor without a window horizon
+  // never evicts.
+  if (!Opts.WindowTxns && !Opts.WindowEdges && !Opts.WindowAgeTicks)
+    return;
   std::vector<std::pair<TxnId, uint32_t>> &Readers = meta(Writer).Readers;
   if (Readers.empty() || Readers.back() != std::make_pair(Reader, ReadIdx))
     Readers.emplace_back(Reader, ReadIdx);
@@ -645,9 +657,9 @@ void Monitor::evict(TxnId NewBase) {
     Sess.erase(Sess.begin(), FirstLive);
   }
 
-  // Release the evicted slots once they outweigh the live ones.
+  // Release the evicted slots once they reach a quarter of the live ones.
   size_t Dead = Base - Live.TxnBase;
-  if (Dead >= 64 && Dead >= Live.Txns.size() - Dead) {
+  if (Dead >= 64 && 4 * Dead >= Live.Txns.size() - Dead) {
     Live.Txns.erase(Live.Txns.begin(), Live.Txns.begin() + Dead);
     Meta.erase(Meta.begin(), Meta.begin() + Dead);
     Live.TxnBase = Base;

@@ -361,8 +361,8 @@ private:
     /// once closed. Drives the age horizon and the force-abort policy.
     uint64_t Ts = 0;
     /// The reads resolved to this transaction, as (reader, index into
-    /// its Reads); may repeat. Never serialized (rebuilt on load).
-    /// Eviction masks exactly these reads.
+    /// its Reads); may repeat. Kept only under a window horizon, never
+    /// serialized (rebuilt on load). Eviction masks exactly these reads.
     std::vector<std::pair<TxnId, uint32_t>> Readers;
     /// Reads whose writer was evicted, as (op index, original writer id
     /// << 32 | writer op), sorted by op index: excluded from checking and
@@ -440,8 +440,9 @@ private:
   /// The live window, maintained directly as a History so the checkers and
   /// kernels run on it unchanged. Its transactions are the ids
   /// [Base, Live.txnEnd()); the slots of evicted ones below Base are
-  /// released once they outweigh the live ones. Live.SoBase holds each
-  /// session's first live so position (its evicted so-prefix length).
+  /// released once they reach a quarter of the live ones. Live.SoBase
+  /// holds each session's first live so position (its evicted so-prefix
+  /// length).
   History Live;
   TxnId Base = 0;
   /// Per-transaction monitor state, parallel to Live's slots.
@@ -496,6 +497,7 @@ private:
 
   /// Reused buffers of deriveTxn and the per-flush read-level checks.
   std::vector<Key> KeyScratch;
+  std::vector<ReadInfo> PrevReads;
   ReadCheckScratch ReadScratch;
 
   MonitorStats Stats;

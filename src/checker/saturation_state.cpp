@@ -979,9 +979,9 @@ void SaturationState::evict(const History &H, TxnId NewBase) {
     }
 
   // Release the evicted slots of the per-transaction arrays once they
-  // outweigh the live ones.
+  // reach a quarter of the live ones.
   size_t Dead = NewBase - SlotBase;
-  if (Dead >= 64 && Dead >= Processed.size() - Dead) {
+  if (Dead >= 64 && 4 * Dead >= Processed.size() - Dead) {
     Processed.erase(Processed.begin(), Processed.begin() + Dead);
     ReadersOf.erase(ReadersOf.begin(), ReadersOf.begin() + Dead);
     HbRows.erase(HbRows.begin(),

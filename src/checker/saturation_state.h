@@ -379,7 +379,7 @@ private:
   uint32_t EvictedBase = 0;
   /// Id of slot 0 of the per-transaction arrays below (Processed,
   /// ReadersOf, HbRows, RowEpochs). Slots below EvictedBase are released
-  /// once they outweigh the live ones.
+  /// once they reach a quarter of the live ones.
   uint32_t SlotBase = 0;
   /// Edges with live references that are kept out of the order because
   /// inserting them closed a cycle (reported when first quarantined).

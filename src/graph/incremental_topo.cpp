@@ -157,6 +157,7 @@ void IncrementalTopoOrder::evictBelow(
   // Report each edge once: every out-edge of a retired node, and the
   // in-edges coming from survivors. The survivors' mirror entries become
   // retired ids, purged when their list is next walked.
+  size_t Before = Removed.size();
   for (uint32_t N = First; N < NewFirst; ++N) {
     for (uint32_t W : Out[slot(N)])
       if (W >= First)
@@ -167,11 +168,11 @@ void IncrementalTopoOrder::evictBelow(
     std::vector<uint32_t>().swap(Out[slot(N)]);
     std::vector<uint32_t>().swap(In[slot(N)]);
   }
-  EdgeCount -= Removed.size();
+  EdgeCount -= Removed.size() - Before;
 
   First = NewFirst;
   size_t Dead = First - NodeBase;
-  if (Dead < 64 || Dead < Pos.size() - Dead)
+  if (Dead < 64 || 4 * Dead < Pos.size() - Dead)
     return;
   Out.erase(Out.begin(), Out.begin() + Dead);
   In.erase(In.begin(), In.begin() + Dead);

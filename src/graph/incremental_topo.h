@@ -75,13 +75,13 @@ public:
   void removeEdge(uint32_t From, uint32_t To);
 
   /// Retires the nodes [firstNode(), \p NewFirst) together with every
-  /// edge incident to them (\p Removed receives \p Removed.size() of them
-  /// as (from, to), the caller's buffer starting empty). Survivors keep
-  /// their ids, positions and the order of their remaining adjacency: a
-  /// survivor's entry for a retired node stays behind as a retired id and
-  /// is purged the next time its list is walked. The retired storage is
-  /// released once it outweighs the live part, so eviction costs O(the
-  /// retired nodes' own adjacency), amortized.
+  /// edge incident to them, appending those edges to \p Removed as
+  /// (from, to). Survivors keep their ids, positions and the order of
+  /// their remaining adjacency: a survivor's entry for a retired node
+  /// stays behind as a retired id and is purged the next time its list is
+  /// walked. The retired storage is released once it reaches a quarter of
+  /// the live part, so eviction costs O(the retired nodes' own adjacency),
+  /// amortized.
   void evictBelow(uint32_t NewFirst,
                   std::vector<std::pair<uint32_t, uint32_t>> &Removed);
 

@@ -29,9 +29,11 @@
 namespace awdit {
 
 /// Open-addressing map from a packed edge (uint64_t, never ~0ULL) to \p V.
-/// Linear probing, power-of-two capacity, max load factor 7/8 on insert,
-/// backward-shift deletion. \p V must be default-constructible and cheap
-/// to move (the saturation engine stores an 8-byte refcount pair).
+/// Linear probing, power-of-two capacity, max load factor 2/3 on insert,
+/// backward-shift deletion. Each slot holds its key and value together, so
+/// a probe that finds its key has the value in the same cache line. \p V
+/// must be default-constructible and cheap to move (the saturation engine
+/// stores an 8-byte refcount pair).
 template <typename V> class PackedEdgeMap {
 public:
   static constexpr uint64_t EmptyKey = ~uint64_t(0);
@@ -42,8 +44,7 @@ public:
   bool empty() const { return Count == 0; }
 
   void clear() {
-    Keys.assign(Keys.size(), EmptyKey);
-    Values.assign(Values.size(), V{});
+    Table.assign(Table.size(), Slot());
     Count = 0;
   }
 
@@ -52,25 +53,25 @@ public:
   V &operator[](uint64_t Key) {
     // Cap load at ~2/3: linear probing degrades sharply past that, and the
     // slots are only 8+sizeof(V) bytes, so headroom is cheap.
-    if ((Count + 1) * 3 >= Keys.size() * 2)
-      rehash(Keys.size() * 2);
-    size_t Slot = probe(Key);
-    if (Keys[Slot] != Key) {
-      Keys[Slot] = Key;
-      Values[Slot] = V{};
+    if ((Count + 1) * 3 >= Table.size() * 2)
+      rehash(Table.size() * 2);
+    Slot &S = Table[probe(Key)];
+    if (S.Key != Key) {
+      S.Key = Key;
+      S.Value = V{};
       ++Count;
     }
-    return Values[Slot];
+    return S.Value;
   }
 
   V *find(uint64_t Key) {
-    size_t Slot = probe(Key);
-    return Keys[Slot] == Key ? &Values[Slot] : nullptr;
+    Slot &S = Table[probe(Key)];
+    return S.Key == Key ? &S.Value : nullptr;
   }
 
   const V *find(uint64_t Key) const {
-    size_t Slot = probe(Key);
-    return Keys[Slot] == Key ? &Values[Slot] : nullptr;
+    const Slot &S = Table[probe(Key)];
+    return S.Key == Key ? &S.Value : nullptr;
   }
 
   size_t count(uint64_t Key) const { return find(Key) ? 1 : 0; }
@@ -79,41 +80,43 @@ public:
   /// Backward-shift deletion: subsequent displaced entries slide back so
   /// probe chains stay gap-free without tombstones.
   bool erase(uint64_t Key) {
-    size_t Slot = probe(Key);
-    if (Keys[Slot] != Key)
+    size_t Hole = probe(Key);
+    if (Table[Hole].Key != Key)
       return false;
-    size_t Mask = Keys.size() - 1;
-    size_t Hole = Slot;
+    size_t Mask = Table.size() - 1;
     size_t Next = (Hole + 1) & Mask;
-    while (Keys[Next] != EmptyKey) {
-      size_t Home = hash(Keys[Next]) & Mask;
-      // Move Keys[Next] back into the hole unless its home slot lies
-      // (cyclically) after the hole — then the hole does not break its
-      // probe chain.
+    while (Table[Next].Key != EmptyKey) {
+      size_t Home = hash(Table[Next].Key) & Mask;
+      // Move the entry at Next back into the hole unless its home slot
+      // lies (cyclically) after the hole — then the hole does not break
+      // its probe chain.
       bool HoleInChain = Next >= Home ? (Home <= Hole && Hole < Next)
                                       : (Home <= Hole || Hole < Next);
       if (HoleInChain) {
-        Keys[Hole] = Keys[Next];
-        Values[Hole] = std::move(Values[Next]);
+        Table[Hole] = std::move(Table[Next]);
         Hole = Next;
       }
       Next = (Next + 1) & Mask;
     }
-    Keys[Hole] = EmptyKey;
-    Values[Hole] = V{};
+    Table[Hole] = Slot();
     --Count;
     return true;
   }
 
   /// Calls \p Fn(key, value) for every live entry, in table order.
   template <typename Fn> void forEach(Fn &&F) const {
-    for (size_t I = 0; I < Keys.size(); ++I)
-      if (Keys[I] != EmptyKey)
-        F(Keys[I], Values[I]);
+    for (const Slot &S : Table)
+      if (S.Key != EmptyKey)
+        F(S.Key, S.Value);
   }
 
 private:
   static constexpr size_t MinCapacity = 16;
+
+  struct Slot {
+    uint64_t Key = EmptyKey;
+    V Value{};
+  };
 
   static uint64_t hash(uint64_t X) {
     // splitmix64 finalizer: full-avalanche over the packed (src, dst)
@@ -125,31 +128,26 @@ private:
   }
 
   size_t probe(uint64_t Key) const {
-    size_t Mask = Keys.size() - 1;
-    size_t Slot = hash(Key) & Mask;
-    while (Keys[Slot] != EmptyKey && Keys[Slot] != Key)
-      Slot = (Slot + 1) & Mask;
-    return Slot;
+    size_t Mask = Table.size() - 1;
+    size_t I = hash(Key) & Mask;
+    while (Table[I].Key != EmptyKey && Table[I].Key != Key)
+      I = (I + 1) & Mask;
+    return I;
   }
 
   void rehash(size_t NewCapacity) {
-    std::vector<uint64_t> OldKeys = std::move(Keys);
-    std::vector<V> OldValues = std::move(Values);
-    Keys.assign(NewCapacity, EmptyKey);
-    Values.assign(NewCapacity, V{});
+    std::vector<Slot> Old = std::move(Table);
+    Table.assign(NewCapacity, Slot());
     Count = 0;
-    for (size_t I = 0; I < OldKeys.size(); ++I) {
-      if (OldKeys[I] == EmptyKey)
+    for (Slot &S : Old) {
+      if (S.Key == EmptyKey)
         continue;
-      size_t Slot = probe(OldKeys[I]);
-      Keys[Slot] = OldKeys[I];
-      Values[Slot] = std::move(OldValues[I]);
+      Table[probe(S.Key)] = std::move(S);
       ++Count;
     }
   }
 
-  std::vector<uint64_t> Keys;
-  std::vector<V> Values;
+  std::vector<Slot> Table;
   size_t Count = 0;
 };
 
