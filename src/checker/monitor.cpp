@@ -41,11 +41,6 @@ SessionId Monitor::addSession() {
   return static_cast<SessionId>(Live.Sessions.size() - 1);
 }
 
-TxnId Monitor::checkLive(TxnId T) const {
-  AWDIT_ASSERT(T >= Base && T < Live.txnEnd(),
-               "Monitor: unknown or evicted transaction id");
-  return T;
-}
 
 TxnId Monitor::beginTxn(SessionId S) {
   AWDIT_ASSERT(S < Live.Sessions.size(), "beginTxn: unknown session");
@@ -75,7 +70,7 @@ bool Monitor::write(TxnId T, Key K, Value V) {
 bool Monitor::append(TxnId T, Operation Op) {
   if (ForceAbortedIds.count(T))
     return true; // the hung transaction was force-aborted; drop quietly
-  Transaction &Txn = txnRef(checkLive(T));
+  Transaction &Txn = txnRef(T);
   AWDIT_ASSERT(meta(T).Open, "append: transaction already closed");
   if (Op.isWrite()) {
     uint32_t OpIdx = static_cast<uint32_t>(Txn.Ops.size());
@@ -106,13 +101,13 @@ bool Monitor::append(TxnId T, Operation Op) {
 void Monitor::commit(TxnId T) {
   if (ForceAbortedIds.count(T))
     return; // already aborted by the force-abort policy
-  closeTxn(checkLive(T), /*Committed=*/true);
+  closeTxn(T, /*Committed=*/true);
 }
 
 void Monitor::abortTxn(TxnId T) {
   if (ForceAbortedIds.count(T))
     return; // already aborted by the force-abort policy
-  closeTxn(checkLive(T), /*Committed=*/false);
+  closeTxn(T, /*Committed=*/false);
 }
 
 void Monitor::advanceTime(uint64_t Now) {
@@ -173,7 +168,7 @@ bool Monitor::deriveTxn(TxnId Id) {
   // every time (values are unique), so what it already recorded — the
   // parked unresolved read, the writer's reader-index entry — stays valid.
   std::vector<ReadInfo> &Prev = PrevReads;
-  Prev.swap(T.Reads);
+  Prev.assign(T.Reads.begin(), T.Reads.end());
   T.Reads.clear();
 
   bool AllWritersClosed = true;
@@ -226,11 +221,8 @@ bool Monitor::deriveTxn(TxnId Id) {
 
 const uint64_t *Monitor::maskedWriter(TxnId Id, uint32_t OpIdx) const {
   const std::vector<std::pair<uint32_t, uint64_t>> &Masked = meta(Id).Masked;
-  auto It = std::lower_bound(
-      Masked.begin(), Masked.end(), OpIdx,
-      [](const std::pair<uint32_t, uint64_t> &E, uint32_t Op) {
-        return E.first < Op;
-      });
+  auto It = std::lower_bound(Masked.begin(), Masked.end(),
+                             std::make_pair(OpIdx, uint64_t(0)));
   return It != Masked.end() && It->first == OpIdx ? &It->second : nullptr;
 }
 
@@ -297,16 +289,13 @@ void Monitor::ensureAdoptedIndex() {
   // delta.
   for (TxnId Id = Base; Id < Live.txnEnd(); ++Id) {
     const Transaction &T = txnRef(Id);
-    for (uint32_t OpIdx = 0; OpIdx < T.Ops.size(); ++OpIdx) {
-      const Operation &Op = T.Ops[OpIdx];
-      countKey(Op.K);
-      if (Op.isWrite())
-        Writes.record(Op.K, Op.V, Id, OpIdx);
-    }
+    for (uint32_t OpIdx = 0; OpIdx < T.Ops.size(); ++OpIdx)
+      if (T.Ops[OpIdx].isWrite())
+        Writes.record(T.Ops[OpIdx].K, T.Ops[OpIdx].V, Id, OpIdx);
     if (T.Committed)
       AdoptedReady.push_back(Id);
   }
-  indexReaders();
+  indexWindow();
 }
 
 void Monitor::countKey(Key K) {
@@ -315,8 +304,7 @@ void Monitor::countKey(Key K) {
 }
 
 void Monitor::noteReader(TxnId Writer, TxnId Reader, uint32_t ReadIdx) {
-  // Only eviction reads the index; a monitor without a window horizon
-  // never evicts.
+  // Only eviction reads the index.
   if (!Opts.WindowTxns && !Opts.WindowEdges && !Opts.WindowAgeTicks)
     return;
   std::vector<std::pair<TxnId, uint32_t>> &Readers = meta(Writer).Readers;
@@ -324,8 +312,10 @@ void Monitor::noteReader(TxnId Writer, TxnId Reader, uint32_t ReadIdx) {
     Readers.emplace_back(Reader, ReadIdx);
 }
 
-void Monitor::indexReaders() {
+void Monitor::indexWindow() {
   for (TxnId Id = Base; Id < Live.txnEnd(); ++Id) {
+    for (const Operation &Op : txnRef(Id).Ops)
+      countKey(Op.K);
     const std::vector<ReadInfo> &Reads = txnRef(Id).Reads;
     for (uint32_t ReadIdx = 0; ReadIdx < Reads.size(); ++ReadIdx) {
       TxnId Writer = Reads[ReadIdx].Writer;
@@ -558,15 +548,11 @@ void Monitor::evict(TxnId NewBase) {
   ++Stats.Compactions;
   Stats.EvictedTxns += NewBase - Base;
 
-  // The saturation engine evicts its persisted state first: it reads the
-  // evicted transactions (sessions, written keys, derived reads).
+  // The engine goes first: it reads the evicted transactions.
   Saturation.evict(Live, NewBase);
 
-  // Each evicted transaction takes along what it owns: window accounting,
-  // write-index entries, key refcounts, its unresolved and masked reads,
-  // its so-prefix slot of its session.
+  // Each evicted transaction takes along what it owns.
   std::vector<SessionId> Shrunk;
-  std::vector<KeyValue> Unresolved;
   for (TxnId Id = Base; Id < NewBase; ++Id) {
     Transaction &T = txnRef(Id);
     Live.TotalOps -= T.Ops.size();
@@ -574,19 +560,33 @@ void Monitor::evict(TxnId NewBase) {
       auto It = KeyRefs.find(Op.K);
       if (--It->second == 0)
         KeyRefs.erase(It);
+      Live.KeyCount = KeyRefs.size();
       if (Op.isWrite())
         Writes.erase(Op.K, Op.V);
     }
+    for (const ReadInfo &RI : T.Reads) {
+      if (RI.Writer != NoTxn || maskedWriter(Id, RI.OpIndex))
+        continue;
+      // An unresolved read leaves with its reader (counted).
+      auto It = PendingReads.find(KeyValue{RI.K, RI.V});
+      if (It == PendingReads.end())
+        continue;
+      std::vector<std::pair<TxnId, uint32_t>> &Waiters = It->second;
+      auto W = std::find(Waiters.begin(), Waiters.end(),
+                         std::make_pair(Id, RI.OpIndex));
+      if (W == Waiters.end())
+        continue;
+      Waiters.erase(W);
+      ++Stats.EvictedUnresolvedReads;
+      --Stats.UnresolvedReads;
+      if (Waiters.empty())
+        PendingReads.erase(It);
+    }
+    // Survivors' reads of this writer are masked: excluded from checking,
+    // never reported as thin-air, and dropped from the reader's external
+    // reads in place. The mask keeps the original writer, which the
+    // chunked checkpoint writes so the read's bytes do not change.
     TxnMeta &M = meta(Id);
-    for (const ReadInfo &RI : T.Reads)
-      if (RI.Writer == NoTxn && !maskedWriter(Id, RI.OpIndex))
-        Unresolved.push_back(KeyValue{RI.K, RI.V});
-    // Reads of this writer by survivors are masked: excluded from
-    // checking, never reported as thin-air. The mask remembers the
-    // original writer so the chunked checkpoint can serialize the read as
-    // it looked before the eviction. The reader's derived external-read
-    // indices lose the read and the writer in place (what re-classifying
-    // its reads would produce).
     for (auto [Reader, ReadIdx] : M.Readers) {
       if (Reader < NewBase)
         continue;
@@ -621,30 +621,6 @@ void Monitor::evict(TxnId NewBase) {
     M = TxnMeta();
   }
   Base = NewBase;
-
-  // Unresolved reads of evicted readers are dropped (counted) in one pass
-  // per (key, value).
-  std::sort(Unresolved.begin(), Unresolved.end(),
-            [](const KeyValue &A, const KeyValue &B) {
-              return A.K != B.K ? A.K < B.K : A.V < B.V;
-            });
-  Unresolved.erase(std::unique(Unresolved.begin(), Unresolved.end()),
-                   Unresolved.end());
-  for (const KeyValue &KV : Unresolved) {
-    auto It = PendingReads.find(KV);
-    if (It == PendingReads.end())
-      continue;
-    std::vector<std::pair<TxnId, uint32_t>> &Waiters = It->second;
-    auto Kept = std::remove_if(
-        Waiters.begin(), Waiters.end(),
-        [&](const std::pair<TxnId, uint32_t> &W) { return W.first < Base; });
-    uint64_t Dropped = static_cast<uint64_t>(Waiters.end() - Kept);
-    Stats.EvictedUnresolvedReads += Dropped;
-    Stats.UnresolvedReads -= Dropped;
-    Waiters.erase(Kept, Waiters.end());
-    if (Waiters.empty())
-      PendingReads.erase(It);
-  }
 
   // Each session lost an so prefix (see maybeEvict): drop it in one go.
   std::sort(Shrunk.begin(), Shrunk.end());
@@ -816,10 +792,7 @@ void Monitor::saveState(ByteWriter &W) const {
 
 void Monitor::saveStateImpl(ByteWriter &W, bool Local) const {
   AWDIT_ASSERT(!Finalized, "saveState: monitor already finalized");
-  // The chunked (v2) layout writes ids and so positions as they are in
-  // memory; the v1 layout is window-local: ids relative to Base, so
-  // positions of committed transactions relative to their session's first
-  // live one.
+  // See saveStateImpl in monitor.h for the two layouts.
   const TxnId IdShift = Local ? Base : 0;
   auto OutT = [&](TxnId T) {
     return T == NoTxn ? T : static_cast<TxnId>(T - IdShift);
@@ -896,7 +869,7 @@ void Monitor::saveStateImpl(ByteWriter &W, bool Local) const {
   W.chunk(chunkId(ckchunk::MMisc));
   W.u64(Live.TotalOps);
   W.u64(Live.CommittedCount);
-  // Live.KeyCount is rebuilt with the key universe on load.
+  // Live.KeyCount is rebuilt with the key refcounts on load.
 
   W.u32(Base);
   W.chunk(chunkId(ckchunk::MMeta));
@@ -1093,14 +1066,15 @@ bool Monitor::loadState(ByteReader &R, std::string *Err) {
   // learn the bases, then again for real.
   Monitor Probe(Opts);
   ByteReader Ahead = R;
-  if (!Probe.loadStateImpl(Ahead, Err, Layout{/*Local=*/true, 0, nullptr}))
+  if (!Probe.loadStateImpl(Ahead, Err, /*Local=*/true, 0, nullptr))
     return false;
-  return loadStateImpl(R, Err,
-                       Layout{/*Local=*/true, Probe.Base, &Probe.Live.SoBase});
+  return loadStateImpl(R, Err, /*Local=*/true, Probe.Base,
+                       &Probe.Live.SoBase);
 }
 
-bool Monitor::loadStateImpl(ByteReader &R, std::string *Err,
-                            const Layout &L) {
+bool Monitor::loadStateImpl(ByteReader &R, std::string *Err, bool Local,
+                            TxnId IdBase,
+                            const std::vector<uint32_t> *SoBase) {
   auto Fail = [&](const char *Msg) {
     if (Err)
       *Err = Msg;
@@ -1111,15 +1085,15 @@ bool Monitor::loadStateImpl(ByteReader &R, std::string *Err,
 
   // Exact inverses of the transforms in saveStateImpl (the identity for
   // the chunked layout).
-  const TxnId IdShift = L.Local ? L.IdBase : 0;
+  const TxnId IdShift = Local ? IdBase : 0;
   auto InT = [&](TxnId T) {
     return T == NoTxn ? T : static_cast<TxnId>(T + IdShift);
   };
   auto InSo = [&](SessionId S, uint32_t So) -> uint32_t {
-    return L.SoBase && S < L.SoBase->size() ? So + (*L.SoBase)[S] : So;
+    return SoBase && S < SoBase->size() ? So + (*SoBase)[S] : So;
   };
 
-  Live.TxnBase = L.IdBase;
+  Live.TxnBase = IdBase;
   uint64_t NumTxns = R.u64();
   if (!R.checkCount(NumTxns, 16))
     return Fail("corrupted checkpoint (transaction count)");
@@ -1151,7 +1125,7 @@ bool Monitor::loadStateImpl(ByteReader &R, std::string *Err,
       RI.V = R.i64();
       uint32_t GW = R.u32();
       uint32_t WOp = R.u32();
-      if (!L.Local && GW != NoTxn && GW < L.IdBase) {
+      if (!Local && GW != NoTxn && GW < IdBase) {
         // Chunked records keep a masked read's original pre-eviction writer;
         // anything below the window base was evicted, so re-mask it here.
         RI.Writer = NoTxn;
@@ -1163,7 +1137,7 @@ bool Monitor::loadStateImpl(ByteReader &R, std::string *Err,
         RI.WriterOp = WOp;
       }
     }
-    if (L.Local) {
+    if (Local) {
       uint64_t NumExt = R.u64();
       if (!R.checkCount(NumExt, 4))
         return Fail("corrupted checkpoint (external reads)");
@@ -1178,7 +1152,7 @@ bool Monitor::loadStateImpl(ByteReader &R, std::string *Err,
     for (Key &K : T.WriteKeys)
       K = R.u64();
     indexLastWrites(T);
-    if (L.Local) {
+    if (Local) {
       uint64_t NumRf = R.u64();
       if (!R.checkCount(NumRf, 4))
         return Fail("corrupted checkpoint (read-froms)");
@@ -1204,8 +1178,9 @@ bool Monitor::loadStateImpl(ByteReader &R, std::string *Err,
   Live.CommittedCount = R.u64();
 
   Base = R.u32();
-  if (!L.Local && Base != L.IdBase)
+  if (!Local && Base != IdBase)
     return Fail("inconsistent checkpoint (window base vs. root metadata)");
+  Live.TxnBase = Base;
   for (TxnMeta &TM : Meta) {
     TM.Open = R.boolean();
     TM.Deferred = R.boolean();
@@ -1213,7 +1188,7 @@ bool Monitor::loadStateImpl(ByteReader &R, std::string *Err,
   }
   if (!R.ok())
     return Fail("truncated checkpoint (window)");
-  if (!L.Local) {
+  if (!Local) {
     // Chunked checkpoints omit ExtReads/ReadFroms: both are pure functions
     // of the reads, open flags, and commit bits, all of which are loaded by
     // this point.
@@ -1223,9 +1198,9 @@ bool Monitor::loadStateImpl(ByteReader &R, std::string *Err,
 
   const std::vector<uint32_t> NoSoBase;
   if (!Saturation.loadState(R, Err, Base,
-                            !L.Local ? nullptr
-                            : L.SoBase ? L.SoBase
-                                       : &NoSoBase))
+                            !Local   ? nullptr
+                            : SoBase ? SoBase
+                                     : &NoSoBase))
     return false;
 
   uint64_t NumAdopted = R.u64();
@@ -1285,8 +1260,6 @@ bool Monitor::loadStateImpl(ByteReader &R, std::string *Err,
   for (uint64_t I = 0; I < NumMask && R.ok(); ++I) {
     uint64_t MaskKey = R.u64();
     TxnId Reader = static_cast<TxnId>(MaskKey >> 32);
-    if (L.probing())
-      continue; // the window is not placed yet; only parse
     if (Reader < Base || Reader >= Live.txnEnd())
       return Fail("corrupted checkpoint (evicted-writer mask)");
     std::vector<std::pair<uint32_t, uint64_t>> &Masked = meta(Reader).Masked;
@@ -1369,12 +1342,8 @@ bool Monitor::loadStateImpl(ByteReader &R, std::string *Err,
   // Derived state not worth serializing: the window's key refcounts and
   // reader index (an adopted prefix still pending its index gets both
   // when it is materialized).
-  if (!AdoptedIndexPending) {
-    for (TxnId Id = Base; Id < Live.txnEnd(); ++Id)
-      for (const Operation &Op : txnRef(Id).Ops)
-        countKey(Op.K);
-    indexReaders();
-  }
+  if (!AdoptedIndexPending)
+    indexWindow();
   return true;
 }
 
@@ -1395,7 +1364,7 @@ bool Monitor::loadStateChunked(std::string_view Bytes, uint32_t IdBase,
                                const std::vector<uint64_t> &SoBase,
                                std::string *Err) {
   ByteReader R(Bytes);
-  if (!loadStateImpl(R, Err, Layout{/*Local=*/false, IdBase, nullptr}))
+  if (!loadStateImpl(R, Err, /*Local=*/false, IdBase, nullptr))
     return false;
   auto Fail = [&](const char *Msg) {
     if (Err)

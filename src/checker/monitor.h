@@ -43,6 +43,7 @@
 #include "history/history.h"
 #include "history/wr_resolver.h"
 #include "obs/histogram.h"
+#include "support/assert.h"
 
 #include <map>
 #include <set>
@@ -317,11 +318,10 @@ public:
   /// are written as they are in memory — never rebased by windowed
   /// eviction — and \p Marks receives the chunk boundaries (strictly
   /// increasing ids; see support/serialize.h). \p IdBase and \p SoBase
-  /// receive the first live id and per-session so position; the store
-  /// keeps them in the root's meta blob and a restore checks them against
-  /// the bytes. Unchanged state re-serializes into byte-identical chunks,
-  /// which is what makes a store commit O(delta). (saveState writes the
-  /// v1 layout instead, which is window-local.)
+  /// receive the first live id and per-session so position, which the
+  /// store keeps in the root's meta blob for a restore to check. Unchanged
+  /// state re-serializes into byte-identical chunks, which is what makes a
+  /// store commit O(delta).
   void saveStateChunked(std::string &Bytes, std::vector<ChunkMark> &Marks,
                         uint32_t &IdBase,
                         std::vector<uint64_t> &SoBase) const;
@@ -333,24 +333,13 @@ public:
                         std::string *Err);
 
 private:
-  /// How serialized ids and so positions relate to memory.
-  struct Layout {
-    /// The v1 layout: ids relative to the window base, so positions of
-    /// committed transactions relative to their session's first live one.
-    /// Otherwise (chunked) they are written as they are in memory.
-    bool Local = false;
-    /// The id of the first serialized transaction (the window base).
-    TxnId IdBase = 0;
-    /// v1 loads: the per-session first live so positions, or null while
-    /// still unknown (the first of the two v1 parses).
-    const std::vector<uint32_t> *SoBase = nullptr;
-    /// The first v1 parse, which only learns the bases.
-    bool probing() const { return Local && !SoBase; }
-  };
-
-  /// Shared serialization body of the v1 (\p Local) and chunked paths.
+  /// Shared serialization body of the v1 (\p Local: ids relative to the
+  /// window base, so positions to each session's first live one) and
+  /// chunked (as in memory) layouts. A v1 load adds \p IdBase and
+  /// \p SoBase back; 0 and null only parse the bytes.
   void saveStateImpl(ByteWriter &W, bool Local) const;
-  bool loadStateImpl(ByteReader &R, std::string *Err, const Layout &L);
+  bool loadStateImpl(ByteReader &R, std::string *Err, bool Local,
+                     TxnId IdBase, const std::vector<uint32_t> *SoBase);
 
   struct TxnMeta {
     bool Open = true;
@@ -365,11 +354,9 @@ private:
     /// serialized (rebuilt on load). Eviction masks exactly these reads.
     std::vector<std::pair<TxnId, uint32_t>> Readers;
     /// Reads whose writer was evicted, as (op index, original writer id
-    /// << 32 | writer op), sorted by op index: excluded from checking and
-    /// never reported as thin-air. The original writer lets the chunked
-    /// checkpoint serialize the read exactly as it looked before the
-    /// eviction, keeping old transaction chunks byte-stable across window
-    /// slides; a v1 restore records UnknownMaskedWriter.
+    /// << 32 | writer op), sorted: never checked or reported as thin-air.
+    /// The chunked checkpoint writes the original writer so the read's
+    /// bytes do not change (a v1 restore records UnknownMaskedWriter).
     std::vector<std::pair<uint32_t, uint64_t>> Masked;
   };
 
@@ -377,18 +364,22 @@ private:
   /// that read is not masked.
   const uint64_t *maskedWriter(TxnId Id, uint32_t OpIdx) const;
 
-  /// Asserts that \p T is a live transaction id and returns it.
-  TxnId checkLive(TxnId T) const;
-  Transaction &txnRef(TxnId T) { return Live.Txns[T - Live.TxnBase]; }
-  TxnMeta &meta(TxnId T) { return Meta[T - Live.TxnBase]; }
-  const TxnMeta &meta(TxnId T) const { return Meta[T - Live.TxnBase]; }
+  /// The transaction and metadata of live id \p T.
+  Transaction &txnRef(TxnId T) { return Live.Txns[slot(T)]; }
+  TxnMeta &meta(TxnId T) { return Meta[slot(T)]; }
+  const TxnMeta &meta(TxnId T) const { return Meta[slot(T)]; }
+  size_t slot(TxnId T) const {
+    AWDIT_ASSERT(T >= Base && T < Live.txnEnd(),
+                 "Monitor: unknown or evicted transaction id");
+    return T - Live.TxnBase;
+  }
 
   /// Counts an operation on \p K into the window's key refcounts.
   void countKey(Key K);
   /// Records that \p Reader's read \p ReadIdx resolved to \p Writer.
   void noteReader(TxnId Writer, TxnId Reader, uint32_t ReadIdx);
-  /// Rebuilds every live transaction's reader list from the reads.
-  void indexReaders();
+  /// Rebuilds the key refcounts and reader index of the whole window.
+  void indexWindow();
 
   /// Closes \p Id (commit or abort), resolves its reads, wakes waiting
   /// readers, and schedules checking.

@@ -878,10 +878,8 @@ void SaturationState::evict(const History &H, TxnId NewBase) {
     return;
   ensureSizes(H);
 
-  // The evicted writers' writer-list entries and RA last-writes go.
-  // Writer lists are so-sorted and the evicted members of a session are an
-  // so prefix of it, so each list of a written key loses a prefix; empty
-  // slots go, keeping the survivors' slot order.
+  // The evicted writers' RA last-writes go, and each so-sorted writer list
+  // of a written key loses a prefix (evicted members are an so prefix).
   std::vector<Key> WrittenKeys;
   for (TxnId T = OldBase; T < NewBase; ++T) {
     const Transaction &Txn = H.txn(T);
@@ -907,36 +905,26 @@ void SaturationState::evict(const History &H, TxnId NewBase) {
     if (It == Writers.end())
       continue;
     KeyWriters &KW = It->second;
-    size_t KeptSlots = 0;
-    for (size_t Slot = 0; Slot < KW.Sessions.size(); ++Slot) {
+    for (size_t Slot = KW.Sessions.size(); Slot-- > 0;) {
       std::vector<detail::CcWriterEntry> &List = KW.Lists[Slot];
-      auto FirstLive = std::find_if(
-          List.begin(), List.end(),
-          [&](const detail::CcWriterEntry &E) { return E.T >= NewBase; });
-      List.erase(List.begin(), FirstLive);
-      if (List.empty())
-        continue;
-      if (KeptSlots != Slot) {
-        KW.Sessions[KeptSlots] = KW.Sessions[Slot];
-        KW.Lists[KeptSlots] = std::move(List);
+      List.erase(List.begin(), std::find_if(List.begin(), List.end(),
+                                            [&](const auto &E) {
+                                              return E.T >= NewBase;
+                                            }));
+      if (List.empty()) {
+        KW.Sessions.erase(KW.Sessions.begin() + Slot);
+        KW.Lists.erase(KW.Lists.begin() + Slot);
       }
-      ++KeptSlots;
     }
-    KW.Sessions.resize(KeptSlots);
-    KW.Lists.resize(KeptSlots);
-    if (!KeptSlots)
+    if (KW.Sessions.empty())
       Writers.erase(It);
   }
 
-  // From here on the evicted transactions are dead: every edge incident
-  // to one is a tombstone. Clearing their per-transaction sources then
-  // only releases what they contributed between survivors; the edges
-  // crossing the horizon die with their evicted endpoint, whoever
-  // contributed them (anomalies spanning it are no longer detectable —
-  // the documented windowed-mode trade-off). The order's adjacency of the
-  // evicted nodes finds those; quarantined ones sit outside the order.
-  // Surviving sources keep them as tombstones, and readers' entries in
-  // surviving writers' ReadersOf lists are skipped where read.
+  // From here on every edge incident to an evicted transaction is a
+  // tombstone: clearing its sources releases only edges between
+  // survivors, and the edges crossing the horizon (found through the
+  // order's adjacency, or quarantined) die whoever contributed them — the
+  // documented windowed-mode trade-off.
   EvictedBase = NewBase;
   for (TxnId T = OldBase; T < NewBase; ++T) {
     clearSource(rcSource(T), /*IsBase=*/false);
@@ -944,32 +932,26 @@ void SaturationState::evict(const History &H, TxnId NewBase) {
     clearSource(wrSource(T), /*IsBase=*/true);
     ReadersOf[slot(T)] = {};
   }
-  std::vector<std::pair<uint32_t, uint32_t>> Crossing;
-  Order.evictBelow(NewBase, Crossing);
-  for (auto [From, To] : Crossing) {
-    uint64_t Packed = pack(From, To);
+  auto DropEdge = [&](uint64_t Packed) {
     const EdgeRefs *Refs = Edges.find(Packed);
     if (Refs && Refs->Inferred > 0)
       --InferredDistinct;
     Edges.erase(Packed);
-  }
-  for (auto It = Quarantined.begin(); It != Quarantined.end();) {
-    if (!deadPacked(*It)) {
-      ++It;
-      continue;
-    }
-    const EdgeRefs *Refs = Edges.find(*It);
-    if (Refs && Refs->Inferred > 0)
-      --InferredDistinct;
-    Edges.erase(*It);
-    It = Quarantined.erase(It);
-  }
+  };
+  std::vector<std::pair<uint32_t, uint32_t>> Crossing;
+  Order.evictBelow(NewBase, Crossing);
+  for (auto [From, To] : Crossing)
+    DropEdge(pack(From, To));
+  std::erase_if(Quarantined, [&](uint64_t Packed) {
+    if (!deadPacked(Packed))
+      return false;
+    DropEdge(Packed);
+    return true;
+  });
 
-  // Session-scoped lists (so chains, RA contributions) outlive their
-  // entries. Their tombstones are swept once per window's worth of
-  // evictions — amortized O(1) per evicted transaction, and a pure
-  // function of the window, so a resumed run sweeps exactly when an
-  // uninterrupted one does.
+  // Sweep the session-scoped lists once per window's worth of evictions:
+  // amortized O(1) per evicted transaction, and a pure function of the
+  // window, so a resumed run sweeps exactly when an uninterrupted one does.
   uint64_t Quantum =
       std::bit_ceil(std::max<uint64_t>(64, H.txnEnd() - NewBase));
   if (OldBase / Quantum != NewBase / Quantum)
@@ -1045,11 +1027,9 @@ void SaturationState::saveState(
     }
   }
 
-  // Source-tagged edge lists, sorted by source key. The lists may carry
-  // tombstones. The chunked path writes them verbatim — a per-transaction
-  // source's bytes never change after creation, so eviction dirties no old
-  // chunk. The v1 path writes the filtered, localized view (tombstone-only
-  // sources are elided).
+  // Source-tagged edge lists, sorted by source key: verbatim in the
+  // chunked layout (a per-transaction source's bytes never change), the
+  // filtered, localized view in v1 (tombstone-only sources elided).
   {
     std::vector<uint64_t> Sources;
     Sources.reserve(BySource.size());

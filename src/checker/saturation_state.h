@@ -32,14 +32,10 @@
 /// Every inferred or base edge is tagged with the unit of work that
 /// produced it (an RC transaction, an RA session, a CC reader, a reader's
 /// wr set, a session's so chain), so re-running a unit replaces exactly
-/// its contribution. Transaction ids and so positions are global stream
-/// coordinates, never rebased by eviction: evicting a prefix of the window
-/// frees exactly what the evicted transactions own — their sources, the
-/// edges incident to them, their writer-list entries — in time
-/// proportional to what leaves. Entries of surviving lists whose endpoint
-/// was evicted are filtered lazily by every consumer, which also keeps the
-/// serialized bytes of old sources stable across window slides (what makes
-/// store-backed checkpoints O(delta)).
+/// its contribution. Ids and so positions are never rebased: eviction frees
+/// what the evicted transactions own in time proportional to it, and
+/// surviving lists keep entries with an evicted endpoint as tombstones —
+/// so old sources' bytes stay stable and checkpoints stay O(delta).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -203,10 +199,9 @@ public:
   /// later witness extraction), happens-before rows, writer index, RA
   /// frontiers. Unordered containers are dumped in sorted-key order so the
   /// bytes are canonical; list-valued state keeps its order verbatim.
-  /// Ids and so positions are written as they are in memory (the chunked
-  /// checkpoint-v2 layout), unless \p LocalSoBase is non-null: then they
-  /// are written window-local (the v1 layout) — ids relative to the
-  /// window base, so positions relative to (*LocalSoBase)[session].
+  /// A non-null \p LocalSoBase writes the window-local v1 layout (ids
+  /// relative to the window base, so positions to (*LocalSoBase)[session]);
+  /// otherwise ids and positions are written as in memory (chunked v2).
   void saveState(ByteWriter &W,
                  const std::vector<uint32_t> *LocalSoBase = nullptr) const;
 
@@ -365,21 +360,17 @@ private:
   /// twice per delta edge, which made node-based hashing the dominant
   /// per-flush cost (ROADMAP follow-up from PR 3).
   PackedEdgeMap<EdgeRefs> Edges;
-  /// Source-tagged edge lists. A per-transaction list is immutable once
-  /// written: eviction drops whole evicted sources and leaves tombstone
-  /// entries (an evicted endpoint) in surviving lists for consumers to
-  /// skip via deadPacked(). Per-session lists (RA contributions, so
-  /// chains) are long-lived; their tombstones are swept in bulk once per
-  /// window's worth of evictions. The refcounted Edges map is always the
-  /// filtered refcount image of these lists — which is why the chunked
-  /// checkpoint derives it at load instead of persisting it.
+  /// Source-tagged edge lists; entries with an evicted endpoint are
+  /// tombstones (deadPacked()). A per-transaction list is immutable once
+  /// written; per-session lists (RA contributions, so chains) are swept
+  /// once per window's worth of evictions. Edges is always the filtered
+  /// refcount image of these lists, so the chunked checkpoint derives it.
   std::unordered_map<uint64_t, std::vector<uint64_t>> BySource;
   /// Id of the first live transaction (total evicted count): the lazy
   /// eviction filter.
   uint32_t EvictedBase = 0;
-  /// Id of slot 0 of the per-transaction arrays below (Processed,
-  /// ReadersOf, HbRows, RowEpochs). Slots below EvictedBase are released
-  /// once they reach a quarter of the live ones.
+  /// Id of slot 0 of Processed, ReadersOf, HbRows and RowEpochs; evicted
+  /// slots are released once they reach a quarter of the live ones.
   uint32_t SlotBase = 0;
   /// Edges with live references that are kept out of the order because
   /// inserting them closed a cycle (reported when first quarantined).

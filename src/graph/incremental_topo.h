@@ -37,10 +37,8 @@ class ByteReader;
 /// the caller decides what to do with it (the saturation engine reports a
 /// violation and quarantines the edge).
 ///
-/// Node ids are never renumbered: evictBelow() retires a prefix of ids
-/// and the survivors keep theirs. Positions are only ever compared, so
-/// they need no renumbering either — a node's initial position is its id,
-/// and after evictions the live positions are simply sparse.
+/// Node ids are never renumbered (evictBelow() retires a prefix), nor are
+/// positions, which are only ever compared: a node starts at its id.
 ///
 /// Each distinct (From, To) pair may be inserted at most once; the caller
 /// deduplicates (the saturation engine refcounts edges per source).
@@ -74,14 +72,11 @@ public:
   /// an edge never invalidates a topological order, so this is O(deg).
   void removeEdge(uint32_t From, uint32_t To);
 
-  /// Retires the nodes [firstNode(), \p NewFirst) together with every
-  /// edge incident to them, appending those edges to \p Removed as
-  /// (from, to). Survivors keep their ids, positions and the order of
-  /// their remaining adjacency: a survivor's entry for a retired node
-  /// stays behind as a retired id and is purged the next time its list is
-  /// walked. The retired storage is released once it reaches a quarter of
-  /// the live part, so eviction costs O(the retired nodes' own adjacency),
-  /// amortized.
+  /// Retires the nodes [firstNode(), \p NewFirst) and every edge incident
+  /// to them, appending those to \p Removed as (from, to). A survivor's
+  /// entry for a retired node stays behind as a retired id until its list
+  /// is next walked, so the cost is the retired nodes' own adjacency;
+  /// their storage is released in bulk, amortized.
   void evictBelow(uint32_t NewFirst,
                   std::vector<std::pair<uint32_t, uint32_t>> &Removed);
 
@@ -101,11 +96,10 @@ public:
   /// not a rebuilt-equivalent one. The DFS scratch (epoch marks) is
   /// transient and reset on load.
   ///
-  /// The chunked (checkpoint-v2) layout writes node ids and positions as
-  /// they are in memory; \p KindBase numbers the emitted chunk sections —
-  /// this class claims kinds KindBase..KindBase+2 (positions, out-,
-  /// in-adjacency). \p Localize writes the v1 layout instead: ids relative
-  /// to firstNode() and positions as dense ranks.
+  /// \p Localize writes the v1 layout (ids relative to firstNode(),
+  /// positions as dense ranks); otherwise ids and positions are written as
+  /// in memory. \p KindBase numbers the emitted chunk sections — this class
+  /// claims kinds KindBase..KindBase+2 (positions, out-, in-adjacency).
   void saveState(ByteWriter &W, bool Localize, uint64_t KindBase = 0) const;
   /// Restores saveState() bytes whose first node is \p FirstId;
   /// \p Localized says they were written with Localize.
