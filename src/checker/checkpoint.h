@@ -31,10 +31,10 @@
 ///     write cost per checkpoint.
 ///   - **v2 (segment store)**: the same logical payload, cut at stable chunk
 ///     boundaries (ChunkMark) and persisted in an append-only mmap-backed
-///     SegmentStore (store/segment_store.h). Chunk contents are expressed in
-///     *global* stream coordinates (see StateCoords in support/serialize.h),
-///     so window eviction's id rebasing does not dirty untouched chunks and
-///     a checkpoint appends only what changed — O(delta), not O(state). The
+///     SegmentStore (store/segment_store.h). Chunk contents are the
+///     monitor's global, never-rebased ids and so positions, so window
+///     eviction does not dirty untouched chunks and a checkpoint appends
+///     only what changed — O(delta), not O(state); v1 is window-local. The
 ///     store's fsync'd root record plays the role of the rename.
 ///
 /// Compatibility policy, per format: the version bumps on any layout

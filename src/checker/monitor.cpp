@@ -220,7 +220,8 @@ bool Monitor::deriveTxn(TxnId Id) {
 }
 
 const uint64_t *Monitor::maskedWriter(TxnId Id, uint32_t OpIdx) const {
-  const std::vector<std::pair<uint32_t, uint64_t>> &Masked = meta(Id).Masked;
+  const std::vector<std::pair<uint32_t, uint64_t>> &Masked =
+      meta(Id).links().Masked;
   auto It = std::lower_bound(Masked.begin(), Masked.end(),
                              std::make_pair(OpIdx, uint64_t(0)));
   return It != Masked.end() && It->first == OpIdx ? &It->second : nullptr;
@@ -267,9 +268,9 @@ void Monitor::adopt(const History &H) {
   // materialized lazily, only if streaming or checking continues (the
   // adopt-then-finalize wrapper never needs it).
   Live = H;
-  TxnMeta Closed;
-  Closed.Open = false;
-  Meta.assign(Live.Txns.size(), Closed);
+  Meta.resize(Live.Txns.size());
+  for (TxnMeta &M : Meta)
+    M.Open = false;
   Live.SoBase.assign(Live.Sessions.size(), 0);
   for (size_t S = 0; S < Live.Sessions.size(); ++S)
     Saturation.addSession();
@@ -307,7 +308,8 @@ void Monitor::noteReader(TxnId Writer, TxnId Reader, uint32_t ReadIdx) {
   // Only eviction reads the index.
   if (!Opts.WindowTxns && !Opts.WindowEdges && !Opts.WindowAgeTicks)
     return;
-  std::vector<std::pair<TxnId, uint32_t>> &Readers = meta(Writer).Readers;
+  std::vector<std::pair<TxnId, uint32_t>> &Readers =
+      meta(Writer).links().Readers;
   if (Readers.empty() || Readers.back() != std::make_pair(Reader, ReadIdx))
     Readers.emplace_back(Reader, ReadIdx);
 }
@@ -569,32 +571,28 @@ void Monitor::evict(TxnId NewBase) {
         continue;
       // An unresolved read leaves with its reader (counted).
       auto It = PendingReads.find(KeyValue{RI.K, RI.V});
-      if (It == PendingReads.end())
+      if (It == PendingReads.end() ||
+          !std::erase(It->second, std::make_pair(Id, RI.OpIndex)))
         continue;
-      std::vector<std::pair<TxnId, uint32_t>> &Waiters = It->second;
-      auto W = std::find(Waiters.begin(), Waiters.end(),
-                         std::make_pair(Id, RI.OpIndex));
-      if (W == Waiters.end())
-        continue;
-      Waiters.erase(W);
       ++Stats.EvictedUnresolvedReads;
       --Stats.UnresolvedReads;
-      if (Waiters.empty())
+      if (It->second.empty())
         PendingReads.erase(It);
     }
     // Survivors' reads of this writer are masked: excluded from checking,
     // never reported as thin-air, and dropped from the reader's external
     // reads in place. The mask keeps the original writer, which the
     // chunked checkpoint writes so the read's bytes do not change.
-    TxnMeta &M = meta(Id);
-    for (auto [Reader, ReadIdx] : M.Readers) {
+    const TxnMeta &M = meta(Id);
+    for (auto [Reader, ReadIdx] : M.links().Readers) {
       if (Reader < NewBase)
         continue;
       Transaction &R = txnRef(Reader);
       ReadInfo &RI = R.Reads[ReadIdx];
       if (RI.Writer != Id)
         continue; // a repeated entry, already masked
-      std::vector<std::pair<uint32_t, uint64_t>> &Masked = meta(Reader).Masked;
+      std::vector<std::pair<uint32_t, uint64_t>> &Masked =
+          meta(Reader).links().Masked;
       std::pair<uint32_t, uint64_t> Entry{
           RI.OpIndex, (static_cast<uint64_t>(Id) << 32) | RI.WriterOp};
       Masked.insert(std::upper_bound(Masked.begin(), Masked.end(), Entry),
@@ -602,13 +600,8 @@ void Monitor::evict(TxnId NewBase) {
       RI.Writer = NoTxn;
       RI.WriterOp = NoOp;
       ++Stats.EvictedWriterReads;
-      auto Ext = std::lower_bound(R.ExtReads.begin(), R.ExtReads.end(),
-                                  ReadIdx);
-      if (Ext != R.ExtReads.end() && *Ext == ReadIdx)
-        R.ExtReads.erase(Ext);
-      auto From = std::find(R.ReadFroms.begin(), R.ReadFroms.end(), Id);
-      if (From != R.ReadFroms.end())
-        R.ReadFroms.erase(From);
+      std::erase(R.ExtReads, ReadIdx);
+      std::erase(R.ReadFroms, Id);
     }
     if (T.Committed) {
       --Live.CommittedCount;
@@ -618,7 +611,7 @@ void Monitor::evict(TxnId NewBase) {
     // gone), so their delivery-dedup entries are prunable.
     ReportedCycleTxns.erase(Id);
     T = Transaction();
-    M = TxnMeta();
+    meta(Id) = TxnMeta();
   }
   Base = NewBase;
 
@@ -966,7 +959,7 @@ void Monitor::saveStateImpl(ByteWriter &W, bool Local) const {
     // key set — its loader has no other way to tell masked from unresolved.
     std::vector<uint64_t> Sorted;
     for (TxnId Id = Base; Id < End; ++Id)
-      for (const auto &[OpIdx, Original] : meta(Id).Masked)
+      for (const auto &[OpIdx, Original] : meta(Id).links().Masked)
         if (Local || Original == UnknownMaskedWriter)
           Sorted.push_back((static_cast<uint64_t>(Id) << 32) | OpIdx);
     W.chunk(chunkId(ckchunk::MMask));
@@ -1130,8 +1123,8 @@ bool Monitor::loadStateImpl(ByteReader &R, std::string *Err, bool Local,
         // anything below the window base was evicted, so re-mask it here.
         RI.Writer = NoTxn;
         RI.WriterOp = NoOp;
-        Meta[I].Masked.emplace_back(RI.OpIndex,
-                                    (static_cast<uint64_t>(GW) << 32) | WOp);
+        Meta[I].links().Masked.emplace_back(
+            RI.OpIndex, (static_cast<uint64_t>(GW) << 32) | WOp);
       } else {
         RI.Writer = InT(GW);
         RI.WriterOp = WOp;
@@ -1262,7 +1255,8 @@ bool Monitor::loadStateImpl(ByteReader &R, std::string *Err, bool Local,
     TxnId Reader = static_cast<TxnId>(MaskKey >> 32);
     if (Reader < Base || Reader >= Live.txnEnd())
       return Fail("corrupted checkpoint (evicted-writer mask)");
-    std::vector<std::pair<uint32_t, uint64_t>> &Masked = meta(Reader).Masked;
+    std::vector<std::pair<uint32_t, uint64_t>> &Masked =
+        meta(Reader).links().Masked;
     std::pair<uint32_t, uint64_t> Entry{static_cast<uint32_t>(MaskKey),
                                         UnknownMaskedWriter};
     Masked.insert(std::lower_bound(Masked.begin(), Masked.end(), Entry),

@@ -46,6 +46,7 @@
 #include "support/assert.h"
 
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <string_view>
@@ -349,15 +350,30 @@ private:
     /// Stream time of the last lifecycle event: begin while open, close
     /// once closed. Drives the age horizon and the force-abort policy.
     uint64_t Ts = 0;
-    /// The reads resolved to this transaction, as (reader, index into
-    /// its Reads); may repeat. Kept only under a window horizon, never
-    /// serialized (rebuilt on load). Eviction masks exactly these reads.
-    std::vector<std::pair<TxnId, uint32_t>> Readers;
-    /// Reads whose writer was evicted, as (op index, original writer id
-    /// << 32 | writer op), sorted: never checked or reported as thin-air.
-    /// The chunked checkpoint writes the original writer so the read's
-    /// bytes do not change (a v1 restore records UnknownMaskedWriter).
-    std::vector<std::pair<uint32_t, uint64_t>> Masked;
+    /// Eviction bookkeeping, allocated on first write through links()
+    /// (only windowed monitors write it).
+    struct Links {
+      /// The reads resolved to this transaction, as (reader, index into
+      /// its Reads); may repeat. Never serialized (rebuilt on load).
+      /// Eviction masks exactly these reads.
+      std::vector<std::pair<TxnId, uint32_t>> Readers;
+      /// Reads whose writer was evicted, as (op index, original writer id
+      /// << 32 | writer op), sorted: never checked or reported as
+      /// thin-air. The chunked checkpoint writes the original writer so
+      /// the read's bytes do not change (a v1 restore records
+      /// UnknownMaskedWriter).
+      std::vector<std::pair<uint32_t, uint64_t>> Masked;
+    };
+    std::unique_ptr<Links> L;
+    Links &links() {
+      if (!L)
+        L = std::make_unique<Links>();
+      return *L;
+    }
+    const Links &links() const {
+      static const Links None;
+      return L ? *L : None;
+    }
   };
 
   /// The original writer of \p Id's masked read at \p OpIdx, or null if

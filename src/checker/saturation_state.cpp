@@ -859,18 +859,6 @@ bool SaturationState::finalizeAcyclic(const History &H,
 // Eviction.
 //===----------------------------------------------------------------------===//
 
-void SaturationState::sweepSessionSource(uint64_t Source) {
-  auto It = BySource.find(Source);
-  if (It == BySource.end())
-    return;
-  std::vector<uint64_t> &List = It->second;
-  List.erase(std::remove_if(List.begin(), List.end(),
-                            [&](uint64_t Packed) { return deadPacked(Packed); }),
-             List.end());
-  if (List.empty())
-    BySource.erase(It);
-}
-
 void SaturationState::evict(const History &H, TxnId NewBase) {
   AWDIT_ASSERT(EngineMode == Mode::Streaming, "evict: streaming only");
   TxnId OldBase = EvictedBase;
@@ -955,10 +943,15 @@ void SaturationState::evict(const History &H, TxnId NewBase) {
   uint64_t Quantum =
       std::bit_ceil(std::max<uint64_t>(64, H.txnEnd() - NewBase));
   if (OldBase / Quantum != NewBase / Quantum)
-    for (SessionId S = 0; S < NumSessions; ++S) {
-      sweepSessionSource(raSource(S));
-      sweepSessionSource(soSource(S));
-    }
+    for (SessionId S = 0; S < NumSessions; ++S)
+      for (uint64_t Source : {raSource(S), soSource(S)}) {
+        auto It = BySource.find(Source);
+        if (It == BySource.end())
+          continue;
+        std::erase_if(It->second, [&](uint64_t P) { return deadPacked(P); });
+        if (It->second.empty())
+          BySource.erase(It);
+      }
 
   // Release the evicted slots of the per-transaction arrays once they
   // reach a quarter of the live ones.

@@ -276,8 +276,6 @@ private:
                       const std::vector<uint64_t> &Edges,
                       std::vector<Violation> *Out);
   void clearSource(uint64_t Source, bool IsBase);
-  /// Filters the tombstones out of a session-scoped source list.
-  void sweepSessionSource(uint64_t Source);
   void insertLive(const History &H, uint64_t Packed, bool IsBase,
                   std::vector<Violation> *Out);
   void removeLive(uint64_t Packed, bool IsBase);

@@ -132,9 +132,7 @@ bool IncrementalTopoOrder::addEdge(uint32_t From, uint32_t To,
 }
 
 void IncrementalTopoOrder::purge(std::vector<uint32_t> &List) const {
-  List.erase(std::remove_if(List.begin(), List.end(),
-                            [this](uint32_t V) { return V < First; }),
-             List.end());
+  std::erase_if(List, [this](uint32_t V) { return V < First; });
 }
 
 void IncrementalTopoOrder::removeEdge(uint32_t From, uint32_t To) {

@@ -30,16 +30,14 @@ class History {
 public:
   History() = default;
 
-  /// All transactions, committed and aborted. TxnId - txnBase() indexes
-  /// this vector.
+  /// All transactions, committed and aborted. TxnId indexes this vector
+  /// (offset by the first stored id, which is 0 except in the streaming
+  /// Monitor's live window: its ids stay global while eviction drops its
+  /// prefix).
   const std::vector<Transaction> &transactions() const { return Txns; }
 
   const Transaction &txn(TxnId Id) const { return Txns[Id - TxnBase]; }
 
-  /// Id of the first stored transaction. 0 for every history except the
-  /// streaming Monitor's live window, whose ids stay global while eviction
-  /// drops its prefix.
-  TxnId txnBase() const { return TxnBase; }
   /// One past the last stored transaction id.
   TxnId txnEnd() const { return TxnBase + static_cast<TxnId>(Txns.size()); }
 
@@ -98,6 +96,7 @@ private:
   friend class Monitor;
 
   std::vector<Transaction> Txns;
+  /// Id of Txns[0].
   TxnId TxnBase = 0;
   /// Committed transactions per session, in so order.
   std::vector<std::vector<TxnId>> Sessions;

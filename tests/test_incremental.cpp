@@ -227,8 +227,8 @@ TEST(IncrementalEngine, RetroactiveResolutionPropagatesCc) {
 
 /// Windowed sweeps: cadence x window size on a long clean causal stream.
 /// The window must stay bounded, evictions must happen, and no false
-/// violation may appear — the engine's compaction keeps every persisted
-/// fact consistent with the rebased window.
+/// violation may appear — eviction keeps every persisted fact consistent
+/// with the shrunken window.
 class IncrementalWindowedClean
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
