@@ -383,8 +383,8 @@ private:
   /// than removed.
   std::vector<std::vector<TxnId>> ReadersOf;
 
-  /// Persisted exclusive happens-before clock rows, row-major with stride
-  /// HbStride (grown geometrically as sessions are added).
+  /// Persisted exclusive happens-before clock rows (global so positions
+  /// + 1), row-major with stride HbStride (grown as sessions are added).
   std::vector<uint32_t> HbRows;
   size_t HbStride = 0;
   std::vector<uint32_t> TmpRow;
