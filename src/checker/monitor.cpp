@@ -1057,12 +1057,17 @@ bool Monitor::loadState(ByteReader &R, std::string *Err) {
   // v1 bytes are window-local, and the window base and session bases they
   // are relative to come after the records that use them: parse once to
   // learn the bases, then again for real.
-  Monitor Probe(Opts);
-  ByteReader Ahead = R;
-  if (!Probe.loadStateImpl(Ahead, Err, /*Local=*/true, 0, nullptr))
-    return false;
-  return loadStateImpl(R, Err, /*Local=*/true, Probe.Base,
-                       &Probe.Live.SoBase);
+  TxnId IdBase;
+  std::vector<uint32_t> SoBase;
+  {
+    Monitor Probe(Opts);
+    ByteReader Ahead = R;
+    if (!Probe.loadStateImpl(Ahead, Err, /*Local=*/true, 0, nullptr))
+      return false;
+    IdBase = Probe.Base;
+    SoBase = std::move(Probe.Live.SoBase);
+  }
+  return loadStateImpl(R, Err, /*Local=*/true, IdBase, &SoBase);
 }
 
 bool Monitor::loadStateImpl(ByteReader &R, std::string *Err, bool Local,
