@@ -6,10 +6,10 @@
 #include "checker/check_ra.h"
 #include "checker/check_ra_single_session.h"
 #include "checker/check_rc.h"
-#include "checker/monitor.h"
 #include "checker/parallel.h"
 #include "checker/read_consistency.h"
 #include "checker/saturation_state.h"
+#include "obs/trace.h"
 #include "support/assert.h"
 #include "support/thread_pool.h"
 
@@ -28,12 +28,18 @@ namespace {
 bool checkSequentialViaEngine(const History &H, IsolationLevel Level,
                               std::vector<Violation> &Out,
                               size_t MaxWitnesses, SaturationStats *Stats) {
-  if (!checkReadConsistency(H, Out))
-    return false;
-  if (Level == IsolationLevel::ReadAtomic && !checkRepeatableReads(H, Out))
-    return false;
+  {
+    AWDIT_SPAN("check.read_check");
+    if (!checkReadConsistency(H, Out))
+      return false;
+    if (Level == IsolationLevel::ReadAtomic && !checkRepeatableReads(H, Out))
+      return false;
+  }
   SaturationState Engine(Level, SaturationState::Mode::Batch);
-  Engine.coldStart(H);
+  {
+    AWDIT_SPAN("check.saturate");
+    Engine.coldStart(H);
+  }
   // The batch CC checker never reports saturation stats when so ∪ wr is
   // already cyclic (it stops before saturating); mirror that.
   bool SkipStats =
@@ -47,6 +53,7 @@ bool checkSequentialViaEngine(const History &H, IsolationLevel Level,
 CheckReport awdit::detail::checkOneShot(const History &H,
                                         IsolationLevel Level,
                                         const CheckOptions &Options) {
+  AWDIT_SPAN("check");
   CheckReport Report;
   SaturationStats Sat;
 
@@ -107,13 +114,5 @@ CheckReport awdit::detail::checkOneShot(const History &H,
 
 CheckReport awdit::checkIsolation(const History &H, IsolationLevel Level,
                                   const CheckOptions &Options) {
-  MonitorOptions MonitorOpts;
-  MonitorOpts.Level = Level;
-  MonitorOpts.Check = Options;
-  Monitor M(MonitorOpts);
-  // The history is already resolved, so the bulk-adopt fast path skips
-  // per-operation re-resolution; tests/test_monitor.cpp holds this path
-  // and the incremental replay() path to the same bit-identical contract.
-  M.adopt(H);
-  return M.finalize();
+  return detail::checkOneShot(H, Level, Options);
 }

@@ -78,12 +78,11 @@ struct CheckReport {
 /// (Algorithm 1 for RC, Algorithm 2 for RA, Algorithm 3 for CC, and the
 /// Theorem 1.6 fast path for single-session RA).
 ///
-/// Implemented as a thin wrapper over the streaming Monitor
-/// (checker/monitor.h): the history is replayed into a monitor session and
-/// finalized. The result is bit-identical to the raw one-shot engine
-/// detail::checkOneShot (enforced by tests/test_monitor.cpp). Callers that
-/// receive transactions incrementally should use Monitor directly instead
-/// of materializing a History first.
+/// Runs detail::checkOneShot on \p H in place. A streaming Monitor
+/// (checker/monitor.h) fed the same history and finalized without eviction
+/// returns the same report (enforced by tests/test_monitor.cpp); callers
+/// that receive transactions incrementally should use one instead of
+/// materializing a History first.
 CheckReport checkIsolation(const History &H, IsolationLevel Level,
                            const CheckOptions &Options = {});
 
@@ -91,8 +90,8 @@ namespace detail {
 
 /// The raw one-shot checking engine (the historical checkIsolation body):
 /// dispatches to the sequential or parallel RC/RA/CC algorithms over a
-/// complete history. Monitor::finalize() runs this as its canonical pass;
-/// library users should call checkIsolation() or use a Monitor.
+/// complete history. checkIsolation() and Monitor::finalize() run it as
+/// their canonical pass; library users should call one of those.
 CheckReport checkOneShot(const History &H, IsolationLevel Level,
                          const CheckOptions &Options);
 

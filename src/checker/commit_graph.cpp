@@ -30,20 +30,41 @@ CommitGraph::CommitGraph(const History &H) : H(H), G(H.numTxns()) {
   }
 }
 
+void CommitGraph::inferEdges(std::vector<uint64_t> &&Packed) {
+  if (Pending.empty())
+    Pending = std::move(Packed);
+  else
+    Pending.insert(Pending.end(), Packed.begin(), Packed.end());
+  Packed = std::vector<uint64_t>();
+}
+
 void CommitGraph::flushInferred() {
   if (Pending.empty())
     return;
   std::sort(Pending.begin(), Pending.end());
-  uint64_t Prev = ~uint64_t(0);
+  Pending.erase(std::unique(Pending.begin(), Pending.end()), Pending.end());
+  // Keep only the edges no earlier flush inferred (both lists are sorted).
+  auto Kept = Pending.begin();
+  auto Seen = Inferred.begin();
   for (uint64_t Packed : Pending) {
-    if (Packed == Prev)
-      continue;
-    Prev = Packed;
-    if (Inferred.insert(Packed).second)
-      G.addEdge(static_cast<uint32_t>(Packed >> 32),
-                static_cast<uint32_t>(Packed));
+    while (Seen != Inferred.end() && *Seen < Packed)
+      ++Seen;
+    if (Seen == Inferred.end() || *Seen != Packed)
+      *Kept++ = Packed;
   }
-  Pending.clear();
+  Pending.erase(Kept, Pending.end());
+  for (uint64_t Packed : Pending)
+    G.addEdge(static_cast<uint32_t>(Packed >> 32),
+              static_cast<uint32_t>(Packed));
+  if (Inferred.empty()) {
+    Inferred = std::move(Pending);
+  } else {
+    size_t Old = Inferred.size();
+    Inferred.insert(Inferred.end(), Pending.begin(), Pending.end());
+    std::inplace_merge(Inferred.begin(), Inferred.begin() + Old,
+                       Inferred.end());
+  }
+  Pending = std::vector<uint64_t>();
 }
 
 EdgeKind CommitGraph::classifyEdge(TxnId From, TxnId To) const {

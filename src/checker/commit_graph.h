@@ -26,7 +26,6 @@
 #include "history/history.h"
 #include "support/assert.h"
 
-#include <unordered_set>
 #include <vector>
 
 namespace awdit {
@@ -56,6 +55,10 @@ public:
     return (static_cast<uint64_t>(From) << 32) | To;
   }
 
+  /// Bulk form of inferEdge() for packed edges (packEdge()); takes the
+  /// buffer over without copying when nothing else is pending.
+  void inferEdges(std::vector<uint64_t> &&Packed);
+
   /// Number of distinct inferred edges added so far (flushes pending).
   size_t numInferredEdges() {
     flushInferred();
@@ -82,15 +85,16 @@ private:
   /// Classifies an edge for witness labelling (structural, O(deg) for wr).
   EdgeKind classifyEdge(TxnId From, TxnId To) const;
 
-  /// Merges the pending inferred edges into the graph, deduplicated.
+  /// Merges the pending inferred edges into the graph, deduplicated: new
+  /// edges are appended to the adjacency in ascending packed order.
   void flushInferred();
 
   const History &H;
   Digraph G;
   /// Raw (possibly duplicated) inferred edges awaiting the flush.
   std::vector<uint64_t> Pending;
-  /// Packed (From, To) pairs of flushed inferred edges.
-  std::unordered_set<uint64_t> Inferred;
+  /// Packed (From, To) pairs of flushed inferred edges, sorted ascending.
+  std::vector<uint64_t> Inferred;
 };
 
 } // namespace awdit

@@ -265,8 +265,8 @@ void Monitor::adopt(const History &H) {
   // HistoryBuilder::build() (or an earlier finalize), so every derived
   // index is already in its final state and nothing needs re-deriving —
   // adopted transactions are not marked dirty, and the write index is
-  // materialized lazily, only if streaming or checking continues (the
-  // adopt-then-finalize wrapper never needs it).
+  // materialized lazily, only if streaming or checking continues (an
+  // adopt-then-finalize session never needs it).
   Live = H;
   Meta.resize(Live.Txns.size());
   for (TxnMeta &M : Meta)
@@ -646,8 +646,8 @@ CheckReport Monitor::finalize() {
 
   if (Stats.EvictedTxns == 0) {
     // Exact mode: bring every derived index to its final state, then run
-    // the canonical one-shot engine over the full ingested history. This
-    // is what makes checkIsolation() a bit-identical wrapper.
+    // the canonical one-shot engine over the full ingested history, so the
+    // report is bit-identical to checkIsolation() on it.
     for (TxnId Id : Dirty) {
       bool Derived = deriveTxn(Id);
       AWDIT_ASSERT(Derived, "finalize: writer still open after close-all");

@@ -17,9 +17,10 @@
 /// is checked, cycles the instant the closing edge is inserted) instead of
 /// being returned after the whole history has been materialized.
 ///
-/// The one-shot checkIsolation() facade is a thin wrapper over this class:
-/// replay the history, finalize, return the report (bit-identical to the
-/// historical one-shot engine; enforced by tests/test_monitor.cpp).
+/// Without eviction, finalize() runs the one-shot engine behind
+/// checkIsolation() over the ingested history, so a monitor fed a whole
+/// history reports exactly what checkIsolation() does on it (enforced by
+/// tests/test_monitor.cpp).
 ///
 /// A windowed mode bounds memory on unbounded streams: transactions older
 /// than a count-, edge-, or age-based horizon are evicted from the
@@ -69,8 +70,7 @@ struct MonitorOptions {
   /// variant and thread count of the canonical finalize pass, ...).
   CheckOptions Check;
   /// Run an incremental checking pass every this many commits. 0 checks
-  /// only on explicit check() calls and at finalize() — the configuration
-  /// the one-shot checkIsolation() wrapper uses.
+  /// only on explicit check() calls and at finalize().
   size_t CheckIntervalTxns = 0;
   /// Windowed mode: evict the oldest transactions once more than this many
   /// are live (0 = keep everything; exact checking). Only a prefix of
@@ -207,12 +207,12 @@ public:
   /// Bulk-adopts a finalized history as the monitor's initial state:
   /// the already-resolved transactions are taken over wholesale instead
   /// of being re-resolved operation by operation. Requires a pristine
-  /// monitor. This is the fast path the one-shot checkIsolation() wrapper
-  /// uses (adopt, then finalize); semantically it matches replay() with
-  /// two caveats: adopted thin-air reads are final (later streamed writes
-  /// do not retroactively resolve them), and adopted transactions are
-  /// checked at the first flush after adoption (a check() call, the
-  /// checking cadence, or finalize()) rather than one by one.
+  /// monitor. Checkpoints record an adopted prefix (the MAdopted chunk).
+  /// Semantically it matches replay() with two caveats: adopted thin-air
+  /// reads are final (later streamed writes do not retroactively resolve
+  /// them), and adopted transactions are checked at the first flush after
+  /// adoption (a check() call, the checking cadence, or finalize()) rather
+  /// than one by one.
   void adopt(const History &H);
 
   /// Moves the fully derived ingested history out of the monitor without

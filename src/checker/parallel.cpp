@@ -4,11 +4,11 @@
 
 #include "checker/check_cc.h"
 #include "checker/check_ra.h"
-#include "checker/commit_graph.h"
 #include "checker/read_consistency.h"
 #include "checker/saturation_impl.h"
 #include "checker/saturation_state.h"
 #include "history/key_shard_index.h"
+#include "obs/trace.h"
 #include "support/thread_pool.h"
 
 #include <algorithm>
@@ -21,37 +21,6 @@ namespace {
 /// Transactions per chunk of the range-partitioned passes. Coarse enough
 /// that per-chunk scratch allocation and the batch flush are noise.
 constexpr size_t TxnGrain = 2048;
-
-/// Per-worker sink that batches inferred edges and appends them to the
-/// merged saturation state's striped buffers. One instance per parallelFor
-/// chunk; the destructor flushes the tail.
-class StripedEdgeSink {
-public:
-  explicit StripedEdgeSink(SaturationState &State) : State(State) {
-    Buf.reserve(Cap);
-  }
-
-  StripedEdgeSink(const StripedEdgeSink &) = delete;
-  StripedEdgeSink &operator=(const StripedEdgeSink &) = delete;
-
-  ~StripedEdgeSink() { flush(); }
-
-  void operator()(TxnId From, TxnId To) {
-    Buf.push_back(CommitGraph::packEdge(From, To));
-    if (Buf.size() >= Cap)
-      flush();
-  }
-
-  void flush() {
-    State.appendInferredBatch(Buf.data(), Buf.size());
-    Buf.clear();
-  }
-
-private:
-  static constexpr size_t Cap = 8192;
-  SaturationState &State;
-  std::vector<uint64_t> Buf;
-};
 
 /// Runs a violation-producing range pass over transaction chunks and
 /// concatenates the per-chunk outputs in chunk order, reproducing the
@@ -76,82 +45,10 @@ bool runChunkedViolationPass(const History &H, ThreadPool &Pool,
   return Out.size() == Before;
 }
 
-} // namespace
-
-bool awdit::checkReadConsistencyParallel(const History &H, ThreadPool &Pool,
-                                         std::vector<Violation> &Out) {
-  return runChunkedViolationPass(
-      H, Pool, Out,
-      [&H](TxnId Begin, TxnId End, std::vector<Violation> &ChunkOut) {
-        checkReadConsistencyRange(H, Begin, End, ChunkOut);
-      });
-}
-
-bool awdit::checkRcParallel(const History &H, ThreadPool &Pool,
-                            std::vector<Violation> &Out, size_t MaxWitnesses,
-                            SaturationStats *Stats) {
-  if (!checkReadConsistencyParallel(H, Pool, Out))
-    return false;
-
-  // Shards feed one merged saturation state; its canonical finalize
-  // (sorted, deduplicated) makes the result independent of scheduling.
-  SaturationState Merged(IsolationLevel::ReadCommitted,
-                         SaturationState::Mode::Batch);
-  Pool.parallelFor(0, H.numTxns(), TxnGrain, [&](size_t Begin, size_t End) {
-    detail::RcScratch Scratch;
-    StripedEdgeSink Infer(Merged);
-    detail::saturateRcRange(H, static_cast<TxnId>(Begin),
-                            static_cast<TxnId>(End), Scratch, Infer);
-  });
-
-  return Merged.finalizeAcyclic(H, Out, MaxWitnesses, Stats);
-}
-
-bool awdit::checkRaParallel(const History &H, ThreadPool &Pool,
-                            std::vector<Violation> &Out, size_t MaxWitnesses,
-                            SaturationStats *Stats) {
-  if (!checkReadConsistencyParallel(H, Pool, Out))
-    return false;
-  if (!runChunkedViolationPass(
-          H, Pool, Out,
-          [&H](TxnId Begin, TxnId End, std::vector<Violation> &ChunkOut) {
-            checkRepeatableReadsRange(H, Begin, End, ChunkOut);
-          }))
-    return false;
-
-  SaturationState Merged(IsolationLevel::ReadAtomic,
-                         SaturationState::Mode::Batch);
-  // One unit of work per session: the so-case last-writer table is
-  // inherently sequential along so, but sessions are independent.
-  Pool.parallelFor(0, H.numSessions(), 1, [&](size_t Begin, size_t End) {
-    detail::RaScratch Scratch;
-    StripedEdgeSink Infer(Merged);
-    for (size_t S = Begin; S < End; ++S)
-      detail::saturateRaSession(H, static_cast<SessionId>(S), Scratch,
-                                Infer);
-  });
-
-  return Merged.finalizeAcyclic(H, Out, MaxWitnesses, Stats);
-}
-
-bool awdit::checkCcParallel(const History &H, ThreadPool &Pool,
-                            std::vector<Violation> &Out, size_t MaxWitnesses,
-                            SaturationStats *Stats) {
-  if (!checkReadConsistencyParallel(H, Pool, Out))
-    return false;
-
-  SaturationState Merged(IsolationLevel::CausalConsistency,
-                         SaturationState::Mode::Batch);
-  std::optional<std::vector<uint32_t>> Order = Merged.computeBaseOrder(H);
-  if (!Order) {
-    // so ∪ wr cycle: fails every level; no saturation, no stats (mirrors
-    // the sequential checker).
-    Merged.finalizeAcyclic(H, Out, MaxWitnesses, nullptr);
-    return false;
-  }
-  HappensBefore HB;
-  fillHappensBefore(H, *Order, HB);
-
+/// The sharded CC last-writer inference over a filled happens-before
+/// matrix, feeding \p Merged through one BatchSink per worker chunk.
+void inferCcSharded(const History &H, const HappensBefore &HB,
+                    ThreadPool &Pool, SaturationState &Merged) {
   // Shard the per-key last-writer inference (Algorithm 3, lines 5-15).
   // Keys are independent: all cross-key coupling goes through the read-only
   // HB matrix. 2x oversharding smooths out hot keys while keeping the
@@ -161,7 +58,7 @@ bool awdit::checkCcParallel(const History &H, ThreadPool &Pool,
   size_t K = H.numSessions();
 
   Pool.parallelFor(0, NumShards, 1, [&](size_t Begin, size_t End) {
-    StripedEdgeSink Infer(Merged);
+    SaturationState::BatchSink Infer(Merged);
     // Scan pointer and dedup state of the key currently being processed
     // (Algorithm 3, lastWrite); sized to its writing-session count.
     std::vector<uint32_t> Consumed;
@@ -206,6 +103,96 @@ bool awdit::checkCcParallel(const History &H, ThreadPool &Pool,
       }
     }
   });
+}
+
+} // namespace
+
+bool awdit::checkReadConsistencyParallel(const History &H, ThreadPool &Pool,
+                                         std::vector<Violation> &Out) {
+  AWDIT_SPAN("check.read_check");
+  return runChunkedViolationPass(
+      H, Pool, Out,
+      [&H](TxnId Begin, TxnId End, std::vector<Violation> &ChunkOut) {
+        checkReadConsistencyRange(H, Begin, End, ChunkOut);
+      });
+}
+
+bool awdit::checkRcParallel(const History &H, ThreadPool &Pool,
+                            std::vector<Violation> &Out, size_t MaxWitnesses,
+                            SaturationStats *Stats) {
+  if (!checkReadConsistencyParallel(H, Pool, Out))
+    return false;
+
+  // Shards feed one merged saturation state; its canonical finalize
+  // (sorted, deduplicated) makes the result independent of scheduling.
+  SaturationState Merged(IsolationLevel::ReadCommitted,
+                         SaturationState::Mode::Batch);
+  {
+    AWDIT_SPAN("check.saturate");
+    Pool.parallelFor(0, H.numTxns(), TxnGrain, [&](size_t Begin, size_t End) {
+      detail::RcScratch Scratch;
+      SaturationState::BatchSink Infer(Merged);
+      detail::saturateRcRange(H, static_cast<TxnId>(Begin),
+                              static_cast<TxnId>(End), Scratch, Infer);
+    });
+  }
 
   return Merged.finalizeAcyclic(H, Out, MaxWitnesses, Stats);
+}
+
+bool awdit::checkRaParallel(const History &H, ThreadPool &Pool,
+                            std::vector<Violation> &Out, size_t MaxWitnesses,
+                            SaturationStats *Stats) {
+  if (!checkReadConsistencyParallel(H, Pool, Out))
+    return false;
+  {
+    AWDIT_SPAN("check.read_check");
+    if (!runChunkedViolationPass(
+            H, Pool, Out,
+            [&H](TxnId Begin, TxnId End, std::vector<Violation> &ChunkOut) {
+              checkRepeatableReadsRange(H, Begin, End, ChunkOut);
+            }))
+      return false;
+  }
+
+  SaturationState Merged(IsolationLevel::ReadAtomic,
+                         SaturationState::Mode::Batch);
+  {
+    AWDIT_SPAN("check.saturate");
+    // One unit of work per session: the so-case last-writer table is
+    // inherently sequential along so, but sessions are independent.
+    Pool.parallelFor(0, H.numSessions(), 1, [&](size_t Begin, size_t End) {
+      detail::RaScratch Scratch;
+      SaturationState::BatchSink Infer(Merged);
+      for (size_t S = Begin; S < End; ++S)
+        detail::saturateRaSession(H, static_cast<SessionId>(S), Scratch,
+                                  Infer);
+    });
+  }
+
+  return Merged.finalizeAcyclic(H, Out, MaxWitnesses, Stats);
+}
+
+bool awdit::checkCcParallel(const History &H, ThreadPool &Pool,
+                            std::vector<Violation> &Out, size_t MaxWitnesses,
+                            SaturationStats *Stats) {
+  if (!checkReadConsistencyParallel(H, Pool, Out))
+    return false;
+
+  SaturationState Merged(IsolationLevel::CausalConsistency,
+                         SaturationState::Mode::Batch);
+  {
+    AWDIT_SPAN("check.saturate");
+    // An so ∪ wr cycle fails every level: no saturation, no stats (mirrors
+    // the sequential checker).
+    if (std::optional<std::vector<uint32_t>> Order =
+            Merged.computeBaseOrder(H)) {
+      HappensBefore HB;
+      fillHappensBefore(H, *Order, HB);
+      inferCcSharded(H, HB, Pool, Merged);
+    }
+  }
+
+  return Merged.finalizeAcyclic(H, Out, MaxWitnesses,
+                                Merged.baseCyclic() ? nullptr : Stats);
 }

@@ -775,9 +775,7 @@ void SaturationState::flushDelta(const History &H,
 void SaturationState::coldStart(const History &H) {
   AWDIT_ASSERT(EngineMode == Mode::Batch,
                "coldStart: streaming state takes flushDelta");
-  auto Push = [this](TxnId From, TxnId To) {
-    BatchEdges.push_back(pack(From, To));
-  };
+  BatchSink Push(*this);
   switch (Level) {
   case IsolationLevel::ReadCommitted: {
     detail::RcScratch Scratch;
@@ -815,44 +813,49 @@ std::optional<std::vector<uint32_t>> SaturationState::computeBaseOrder(
   return TopoOrder;
 }
 
-void SaturationState::appendInferredBatch(const uint64_t *NewEdges,
-                                          size_t Count) {
-  if (Count == 0)
-    return;
-  size_t Idx = NextStripe.fetch_add(1, std::memory_order_relaxed);
-  Stripe &S = Stripes[Idx % NumStripes];
-  std::lock_guard<std::mutex> Lock(S.Mutex);
-  S.Buf.insert(S.Buf.end(), NewEdges, NewEdges + Count);
+SaturationState::BatchSink::~BatchSink() {
+  std::lock_guard<std::mutex> Lock(State.SinkBufsMutex);
+  State.SinkBufs.push_back(std::move(Buf));
 }
 
 bool SaturationState::finalizeAcyclic(const History &H,
                                       std::vector<Violation> &Out,
                                       size_t MaxWitnesses,
                                       SaturationStats *Stats) {
+  AWDIT_ASSERT(EngineMode == Mode::Batch,
+               "finalizeAcyclic: batch-mode canonical pass");
   // One canonical pass over the complete edge set: the commit graph
   // canonicalizes (sorts, deduplicates) the inferred edges, so the result
   // is independent of which path or interleaving collected them — and
   // bit-identical to the historical batch checkers. The CC paths already
   // built the base graph for the topological sort; reuse it.
   std::optional<CommitGraph> Local;
-  CommitGraph &Co = CachedBase ? *CachedBase : Local.emplace(H);
-  for (uint64_t Packed : BatchEdges)
-    Co.inferEdge(edgeFrom(Packed), edgeTo(Packed));
-  for (Stripe &S : Stripes) {
-    std::lock_guard<std::mutex> Lock(S.Mutex);
-    for (uint64_t Packed : S.Buf)
-      Co.inferEdge(edgeFrom(Packed), edgeTo(Packed));
-    S.Buf.clear();
+  CommitGraph *Co = CachedBase ? &*CachedBase : nullptr;
+  {
+    AWDIT_SPAN("check.canonicalize");
+    if (!Co)
+      Co = &Local.emplace(H);
+    {
+      std::lock_guard<std::mutex> Lock(SinkBufsMutex);
+      // The largest buffer is taken over whole; the others are appended.
+      if (!SinkBufs.empty())
+        std::swap(SinkBufs.front(),
+                  *std::max_element(SinkBufs.begin(), SinkBufs.end(),
+                                    [](const auto &A, const auto &B) {
+                                      return A.size() < B.size();
+                                    }));
+      for (std::vector<uint64_t> &Buf : SinkBufs)
+        Co->inferEdges(std::move(Buf));
+      SinkBufs = {};
+    }
+    size_t InferredEdges = Co->numInferredEdges(); // sorts, dedups, inserts
+    if (Stats) {
+      Stats->InferredEdges = InferredEdges;
+      Stats->GraphEdges = Co->numEdges();
+    }
   }
-  Edges.forEach([&](uint64_t Packed, const EdgeRefs &Refs) {
-    if (Refs.Inferred > 0)
-      Co.inferEdge(edgeFrom(Packed), edgeTo(Packed));
-  });
-  if (Stats) {
-    Stats->InferredEdges = Co.numInferredEdges();
-    Stats->GraphEdges = Co.numEdges();
-  }
-  return Co.checkAcyclic(Out, MaxWitnesses);
+  AWDIT_SPAN("check.acyclic");
+  return Co->checkAcyclic(Out, MaxWitnesses);
 }
 
 //===----------------------------------------------------------------------===//

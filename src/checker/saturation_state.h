@@ -11,7 +11,7 @@
 ///  - detail::checkOneShot() runs it as a single cold-start delta over a
 ///    complete history (the batch kernels of saturation_impl.h, verbatim);
 ///  - the parallel engine (checker/parallel.h) has its shard workers feed
-///    inferred-edge batches into one merged state through striped buffers;
+///    inferred edges into one merged state, each through its own BatchSink;
 ///  - the streaming Monitor (checker/monitor.h) drives true per-flush
 ///    deltas: the state persists the derived happens-before rows, the
 ///    per-key write index, and the refcounted source-tagged edge set
@@ -52,8 +52,6 @@
 #include "support/epoch_snapshot.h"
 #include "support/packed_edge_map.h"
 
-#include <array>
-#include <atomic>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
@@ -68,7 +66,7 @@ class ThreadPool;
 
 /// The incremental saturation engine. One instance per checking session
 /// (a Monitor, one one-shot check, or one parallel check). Not thread-safe
-/// except for appendInferredBatch().
+/// except for BatchSinks.
 class SaturationState {
 public:
   enum class Mode : uint8_t {
@@ -151,10 +149,44 @@ public:
   /// every algorithm).
   void coldStart(const History &H);
 
-  /// Thread-safe bulk feed of packed inferred edges for the parallel
-  /// engine's shard workers. Stripes are picked round-robin so concurrent
-  /// workers rarely contend.
-  void appendInferredBatch(const uint64_t *Edges, size_t Count);
+  /// Batch-mode inferred-edge sink, called as Infer(From, To) by the batch
+  /// kernels: one per worker (or one for coldStart()). It drops exact
+  /// repeats through a small direct-mapped filter — an edge is dropped only
+  /// when its slot already holds that same edge, so every distinct edge is
+  /// kept at least once and finalizeAcyclic()'s sort + unique stays the
+  /// authority — and hands its buffer to the state when destroyed. Sinks
+  /// of one state may live on different threads.
+  class BatchSink {
+  public:
+    explicit BatchSink(SaturationState &State)
+        : State(State), Filter(size_t(1) << FilterBits, EmptySlot) {}
+    BatchSink(const BatchSink &) = delete;
+    BatchSink &operator=(const BatchSink &) = delete;
+    ~BatchSink();
+
+    void operator()(TxnId From, TxnId To) {
+      AWDIT_ASSERT(From != To, "inferred self edge");
+      uint64_t Packed = CommitGraph::packEdge(From, To);
+      uint64_t &Slot = Filter[slotOf(Packed)];
+      if (Slot == Packed)
+        return;
+      Slot = Packed;
+      Buf.push_back(Packed);
+    }
+
+    /// The filter slot of a packed edge (multiplicative hashing).
+    static size_t slotOf(uint64_t Packed) {
+      return (Packed * 0x9E3779B97F4A7C15ull) >> (64 - FilterBits);
+    }
+
+  private:
+    static constexpr unsigned FilterBits = 14;
+    /// Never a packed edge: it would be a self edge.
+    static constexpr uint64_t EmptySlot = ~uint64_t(0);
+    SaturationState &State;
+    std::vector<uint64_t> Filter;
+    std::vector<uint64_t> Buf;
+  };
 
   /// Batch CC helper: builds the base so ∪ wr commit graph of \p H —
   /// cached so finalizeAcyclic() reuses it instead of rebuilding — and
@@ -408,17 +440,12 @@ private:
 
   // --- Batch-mode edge collection. ---
 
-  std::vector<uint64_t> BatchEdges;
+  /// Buffers handed over by destroyed BatchSinks.
+  std::mutex SinkBufsMutex;
+  std::vector<std::vector<uint64_t>> SinkBufs;
   /// Base commit graph built by computeBaseOrder(), reused by
   /// finalizeAcyclic() so the CC paths construct it only once.
   std::optional<CommitGraph> CachedBase;
-  static constexpr size_t NumStripes = 64;
-  struct Stripe {
-    std::mutex Mutex;
-    std::vector<uint64_t> Buf;
-  };
-  std::array<Stripe, NumStripes> Stripes;
-  std::atomic<size_t> NextStripe{0};
 };
 
 } // namespace awdit

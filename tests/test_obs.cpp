@@ -11,6 +11,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "checker/checker.h"
 #include "checker/checkpoint.h"
 #include "checker/monitor.h"
 #include "checker/violation_sink.h"
@@ -590,12 +591,22 @@ TEST(Trace, ShardedPipelineLeavesAllStageSpans) {
   std::string Err;
   ASSERT_TRUE(writeCheckpointFile(Dir, CkptBlob, &Err)) << Err;
 
+  // The one-shot engine under trace, on the parallel path (the monitor's
+  // exact finalize above ran the sequential one).
+  CheckOptions Parallel;
+  Parallel.Threads = 2;
+  Parallel.ParallelThreshold = 0;
+  checkIsolation(generateHistory(P), IsolationLevel::CausalConsistency,
+                 Parallel);
+
   std::string Json = obs::traceDumpJson();
   ASSERT_TRUE(JsonChecker(Json).valid());
   for (const char *Span :
        {"\"ingest.read\"", "\"ingest.decode\"", "\"ingest.apply\"",
         "\"flush\"", "\"flush.read_check\"", "\"flush.delta\"",
-        "\"flush.finalize\"", "\"flush.evict\"", "\"checkpoint.v1\""})
+        "\"flush.finalize\"", "\"flush.evict\"", "\"checkpoint.v1\"",
+        "\"check\"", "\"check.read_check\"", "\"check.saturate\"",
+        "\"check.canonicalize\"", "\"check.acyclic\""})
     EXPECT_NE(Json.find(Span), std::string::npos) << "missing " << Span;
   // Worker threads named their tracks.
   EXPECT_NE(Json.find("\"applier\""), std::string::npos);

@@ -8,6 +8,9 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "checker/check_cc.h"
+#include "checker/check_ra.h"
+#include "checker/check_rc.h"
 #include "checker/checker.h"
 #include "history/key_shard_index.h"
 #include "sim/anomaly_injector.h"
@@ -122,6 +125,42 @@ TEST_P(ParallelDifferentialInjected, MatchesSequential) {
 INSTANTIATE_TEST_SUITE_P(Sweep, ParallelDifferentialInjected,
                          ::testing::Combine(::testing::Range(0, 7),
                                             ::testing::Range(1, 4)));
+
+/// TPC-C has the highest distinct/raw inferred-edge ratio of the
+/// generated workloads, so the batch sinks' repeat filter drops the least
+/// there and the canonical sort + unique does the most: the parallel
+/// engine, the sequential engine and the classic Alg. 1-3 functions must
+/// still agree on verdicts, stats and witnesses.
+TEST(ParallelDifferentialTpcc, MatchesSequentialAndClassic) {
+  for (ConsistencyMode Mode :
+       {ConsistencyMode::Causal, ConsistencyMode::ReadCommitted}) {
+    GenerateParams P;
+    P.Bench = Benchmark::Tpcc;
+    P.Mode = Mode;
+    P.Sessions = 10;
+    P.Txns = 5000;
+    P.Seed = 17;
+    History H = generateHistory(P);
+    expectParallelMatchesSequential(H, "tpcc");
+    for (IsolationLevel Level : AllIsolationLevels) {
+      CheckReport Classic;
+      SaturationStats Sat;
+      Classic.Consistent =
+          Level == IsolationLevel::ReadCommitted
+              ? checkRc(H, Classic.Violations, 16, &Sat)
+          : Level == IsolationLevel::ReadAtomic
+              ? checkRa(H, Classic.Violations, 16, &Sat)
+              : checkCc(H, Classic.Violations, 16, &Sat);
+      Classic.Stats.InferredEdges = Sat.InferredEdges;
+      Classic.Stats.GraphEdges = Sat.GraphEdges;
+      std::string Label = std::string("tpcc classic level ") +
+                          isolationLevelName(Level) + " mode " +
+                          std::to_string(static_cast<int>(Mode));
+      expectSameReport(Classic, runWithThreads(H, Level, 1), Label.c_str());
+      expectSameReport(Classic, runWithThreads(H, Level, 4), Label.c_str());
+    }
+  }
+}
 
 /// The default configuration (Threads = 0 = hardware concurrency) must
 /// agree with the sequential engine above the parallel threshold.

@@ -129,6 +129,9 @@ int usage() {
       " [--witnesses N]\n"
       "                 [--threads N (0 = all cores, 1 = sequential)]"
       " [--json]\n"
+      "                 [--trace FILE (record the check's phase spans to a"
+      " Chrome-trace\n"
+      "                  JSON file)]\n"
       "  awdit batch <file>... --level rc|ra|cc|all [--format F]"
       " [--jobs N] [--witnesses N] [--json]\n"
       "  awdit monitor <file|-> --level rc|ra|cc"
@@ -310,6 +313,29 @@ std::string reportToJson(const std::string &Path, IsolationLevel Level,
   return Out;
 }
 
+/// Starts recording spans for the whole run when --trace FILE is given:
+/// clears any stale rings and names the main thread for the viewer.
+const std::string *startTrace(const Flags &F, const char *ThreadName) {
+  const std::string *TracePath = F.get("trace");
+  if (TracePath) {
+    obs::traceClear();
+    obs::setTraceThreadName(ThreadName);
+    obs::setTraceEnabled(true);
+  }
+  return TracePath;
+}
+
+/// Stops recording and writes the trace started by startTrace(), if any.
+void finishTrace(const std::string *TracePath) {
+  if (!TracePath)
+    return;
+  obs::setTraceEnabled(false);
+  std::string TraceErr;
+  if (!obs::writeTraceFile(*TracePath, &TraceErr))
+    std::fprintf(stderr, "warning: trace not written: %s\n",
+                 TraceErr.c_str());
+}
+
 int cmdCheck(const std::string &Path, const Flags &F) {
   std::optional<IsolationLevel> Level =
       parseIsolationLevel(F.getOr("level", ""));
@@ -330,7 +356,9 @@ int cmdCheck(const std::string &Path, const Flags &F) {
       static_cast<size_t>(numFlag(F, "witnesses", "16"));
   Options.Threads =
       static_cast<unsigned>(numFlag(F, "threads", "0"));
+  const std::string *TracePath = startTrace(F, "main");
   CheckReport Report = checkIsolation(*H, *Level, Options);
+  finishTrace(TracePath);
   if (F.get("json")) {
     std::printf("%s\n", reportToJson(Path, *Level, Report, *H).c_str());
     return Report.Consistent ? 0 : 1;
@@ -596,14 +624,8 @@ int cmdMonitor(const std::string &Path, const Flags &F) {
   }
   uint64_t KillAfter = numFlag(F, "kill-after-flushes", "0");
   uint64_t StatsIntervalSec = numFlag(F, "stats-interval", "0");
-  const std::string *TracePath = F.get("trace");
-  if (TracePath) {
-    // Record the whole run: clear any stale rings, flip the flag before
-    // the first byte is read, and name the main thread for the viewer.
-    obs::traceClear();
-    obs::setTraceThreadName("reader");
-    obs::setTraceEnabled(true);
-  }
+  // Record the whole run: tracing starts before the first byte is read.
+  const std::string *TracePath = startTrace(F, "reader");
 
   bool Json = F.get("json") != nullptr;
   JsonLinesSink JsonSink(std::cout);
@@ -842,14 +864,8 @@ int cmdMonitor(const std::string &Path, const Flags &F) {
                       Options.ForceAbortOpenTicks));
   }
   std::fflush(stdout);
-  if (TracePath) {
-    // After finalize(), so the last flush's spans are in the rings.
-    obs::setTraceEnabled(false);
-    std::string TraceErr;
-    if (!obs::writeTraceFile(*TracePath, &TraceErr))
-      std::fprintf(stderr, "warning: trace not written: %s\n",
-                   TraceErr.c_str());
-  }
+  // After finalize(), so the last flush's spans are in the rings.
+  finishTrace(TracePath);
   if (ParseError)
     return 2;
   return Report.Consistent ? 0 : 1;
