@@ -11,7 +11,7 @@
 /// over independent units of work — transaction ranges for RC and the Read
 /// Consistency pass, sessions for RA, key shards (history/key_shard_index.h)
 /// for CC — and has every shard feed its inferred edges into one merged
-/// SaturationState (checker/saturation_state.h) through striped buffers.
+/// SaturationState (checker/saturation_state.h), one BatchSink per worker.
 /// The state's canonical finalize (SCC pass and witness extraction) stays
 /// sequential on the merged edge set.
 ///

@@ -837,13 +837,6 @@ bool SaturationState::finalizeAcyclic(const History &H,
       Co = &Local.emplace(H);
     {
       std::lock_guard<std::mutex> Lock(SinkBufsMutex);
-      // The largest buffer is taken over whole; the others are appended.
-      if (!SinkBufs.empty())
-        std::swap(SinkBufs.front(),
-                  *std::max_element(SinkBufs.begin(), SinkBufs.end(),
-                                    [](const auto &A, const auto &B) {
-                                      return A.size() < B.size();
-                                    }));
       for (std::vector<uint64_t> &Buf : SinkBufs)
         Co->inferEdges(std::move(Buf));
       SinkBufs = {};
