@@ -519,8 +519,15 @@ void StreamSession::processItem(const Item &I) {
                        Err.c_str());
       }
     }
-    sendToClient("BYE");
-    detachWriter();
+    // Detach and die *before* saying BYE: the moment the client reads it
+    // it may re-HELLO the same name, and the registry must then see a dead
+    // stream to replace, not this one still attached.
+    std::shared_ptr<ResponseWriter> W;
+    {
+      std::lock_guard<std::mutex> L(AttachMu);
+      W = std::move(Writer);
+      Writer.reset();
+    }
     RetireReason = Retire::Ended;
     PhaseLocal = Phase::Dead;
     // Mirror the finalize-pass counters *before* the Dead store: the
@@ -528,6 +535,8 @@ void StreamSession::processItem(const Item &I) {
     // moment it observes the phase, and must not fold a stale view.
     publishCounters();
     PhaseAtomic.store(Phase::Dead, std::memory_order_release);
+    if (W)
+      W->sendLine("BYE");
     return;
   }
 
