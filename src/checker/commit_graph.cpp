@@ -41,7 +41,8 @@ void CommitGraph::inferEdges(std::vector<uint64_t> &&Packed) {
 void CommitGraph::flushInferred() {
   if (Pending.empty())
     return;
-  std::sort(Pending.begin(), Pending.end());
+  if (!std::is_sorted(Pending.begin(), Pending.end()))
+    std::sort(Pending.begin(), Pending.end());
   Pending.erase(std::unique(Pending.begin(), Pending.end()), Pending.end());
   // Keep only the edges no earlier flush inferred (both lists are sorted).
   auto Kept = Pending.begin();

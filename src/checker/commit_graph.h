@@ -56,7 +56,8 @@ public:
   }
 
   /// Bulk form of inferEdge() for packed edges (packEdge()); takes the
-  /// buffer over without copying when nothing else is pending.
+  /// buffer over without copying when nothing else is pending. A flush of
+  /// already sorted pending edges skips its sort.
   void inferEdges(std::vector<uint64_t> &&Packed);
 
   /// Number of distinct inferred edges added so far (flushes pending).

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <iterator>
 #include <optional>
 #include <set>
 
@@ -37,6 +38,30 @@ bool isBaseSource(uint64_t Source) { return (Source >> 32) >= 3; }
 /// Quarantine-retry region bound: above this many order positions the
 /// local SCC pass falls back to the greedy one-edge-at-a-time retry.
 constexpr size_t SccRetryRegionCap = 4096;
+
+/// Merges sorted, duplicate-free runs into one sorted, duplicate-free
+/// vector, two at a time: O(n log k) for k runs of n edges in total.
+std::vector<uint64_t>
+mergeSortedRuns(std::vector<std::vector<uint64_t>> Runs) {
+  if (Runs.empty())
+    return {};
+  while (Runs.size() > 1) {
+    std::vector<std::vector<uint64_t>> Next;
+    for (size_t I = 0; I + 1 < Runs.size(); I += 2) {
+      std::vector<uint64_t> Merged;
+      Merged.reserve(Runs[I].size() + Runs[I + 1].size());
+      std::set_union(Runs[I].begin(), Runs[I].end(), Runs[I + 1].begin(),
+                     Runs[I + 1].end(), std::back_inserter(Merged));
+      Runs[I] = {};
+      Runs[I + 1] = {};
+      Next.push_back(std::move(Merged));
+    }
+    if (Runs.size() % 2)
+      Next.push_back(std::move(Runs.back()));
+    Runs = std::move(Next);
+  }
+  return std::move(Runs.front());
+}
 
 } // namespace
 
@@ -814,6 +839,10 @@ std::optional<std::vector<uint32_t>> SaturationState::computeBaseOrder(
 }
 
 SaturationState::BatchSink::~BatchSink() {
+  // Sorted on the sink's own thread, so a parallel check's sinks sort in
+  // parallel and finalizeAcyclic() only merges.
+  std::sort(Buf.begin(), Buf.end());
+  Buf.erase(std::unique(Buf.begin(), Buf.end()), Buf.end());
   std::lock_guard<std::mutex> Lock(State.SinkBufsMutex);
   State.SinkBufs.push_back(std::move(Buf));
 }
@@ -837,11 +866,10 @@ bool SaturationState::finalizeAcyclic(const History &H,
       Co = &Local.emplace(H);
     {
       std::lock_guard<std::mutex> Lock(SinkBufsMutex);
-      for (std::vector<uint64_t> &Buf : SinkBufs)
-        Co->inferEdges(std::move(Buf));
+      Co->inferEdges(mergeSortedRuns(std::move(SinkBufs)));
       SinkBufs = {};
     }
-    size_t InferredEdges = Co->numInferredEdges(); // sorts, dedups, inserts
+    size_t InferredEdges = Co->numInferredEdges(); // dedups, inserts
     if (Stats) {
       Stats->InferredEdges = InferredEdges;
       Stats->GraphEdges = Co->numEdges();

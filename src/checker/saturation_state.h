@@ -153,9 +153,10 @@ public:
   /// kernels: one per worker (or one for coldStart()). It drops exact
   /// repeats through a small direct-mapped filter — an edge is dropped only
   /// when its slot already holds that same edge, so every distinct edge is
-  /// kept at least once and finalizeAcyclic()'s sort + unique stays the
-  /// authority — and hands its buffer to the state when destroyed. Sinks
-  /// of one state may live on different threads.
+  /// kept at least once and the sort + unique stays the authority. When
+  /// destroyed it sorts and uniques its buffer on its own thread and hands
+  /// it to the state; finalizeAcyclic() merges the sorted runs. Sinks of
+  /// one state may live on different threads.
   class BatchSink {
   public:
     explicit BatchSink(SaturationState &State)

@@ -159,7 +159,8 @@ TEST(CommitGraphModel, FlushesMatchSetModel) {
         }
         Batch.push_back(E);
       }
-      // Alternate the single-edge and bulk entry points.
+      // Alternate the single-edge and bulk entry points; the last bulk
+      // batch arrives sorted (repeats kept), as merged sink runs do.
       if (Flush % 2 == 0) {
         for (const auto &E : Batch)
           Co.inferEdge(E.first, E.second);
@@ -167,6 +168,8 @@ TEST(CommitGraphModel, FlushesMatchSetModel) {
         std::vector<uint64_t> Packed;
         for (const auto &E : Batch)
           Packed.push_back(CommitGraph::packEdge(E.first, E.second));
+        if (Flush == 3)
+          std::sort(Packed.begin(), Packed.end());
         Co.inferEdges(std::move(Packed));
       }
       M.flush(Batch);
