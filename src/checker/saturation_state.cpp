@@ -853,9 +853,10 @@ bool SaturationState::finalizeAcyclic(const History &H,
                                       SaturationStats *Stats) {
   AWDIT_ASSERT(EngineMode == Mode::Batch,
                "finalizeAcyclic: batch-mode canonical pass");
-  // One canonical pass over the complete edge set: the commit graph
-  // canonicalizes (sorts, deduplicates) the inferred edges, so the result
-  // is independent of which path or interleaving collected them — and
+  // One canonical pass over the complete edge set: the inferred edges are
+  // sorted and deduplicated (each sink sorted its own run; the runs are
+  // merged here), so the result is independent of which path or
+  // interleaving collected them, or of what the sinks' filters dropped — and
   // bit-identical to the historical batch checkers. The CC paths already
   // built the base graph for the topological sort; reuse it.
   std::optional<CommitGraph> Local;

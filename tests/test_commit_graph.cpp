@@ -1,4 +1,4 @@
-//===- tests/test_commit_graph.cpp - CommitGraph against a set model --------===//
+//===- tests/test_commit_graph.cpp - CommitGraph against a set model ------===//
 //
 // The classic checkers, the sequential engine and the parallel engine all
 // canonicalize inferred edges through CommitGraph, so the differential
