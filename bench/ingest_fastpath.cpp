@@ -14,6 +14,10 @@
 //  - BM_IngestBytesPerSec/<threads>: end-to-end ShardedMonitorIngest
 //    throughput (arena reader, worker decode, applier), bytes/second.
 //    CI floors this counter with `compare_bench.py --counter-gate`.
+//  - BM_LoadTextHistory/{ctwitter100k,tpcc25k}: parseTextHistory on
+//    in-memory text — the whole load of `awdit check` (decode, apply to
+//    the building monitor, derive), bytes/second, on the c-twitter and
+//    TPC-C shapes of the oneshot-mixed perfbench workload.
 //
 //===----------------------------------------------------------------------===//
 
@@ -32,6 +36,7 @@
 #include <charconv>
 #include <chrono>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -265,6 +270,50 @@ void BM_IngestBytesPerSec(benchmark::State &State) {
 }
 
 BENCHMARK(BM_IngestBytesPerSec)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
+
+//===----------------------------------------------------------------------===//
+// One-shot load: what `awdit check` spends before checking anything.
+//===----------------------------------------------------------------------===//
+
+/// The serialized history \p Name, generated once per process.
+const std::string &loadCorpus(const std::string &Name) {
+  static std::map<std::string, std::string> Cache;
+  auto It = Cache.find(Name);
+  if (It != Cache.end())
+    return It->second;
+  GenerateParams P;
+  P.Mode = ConsistencyMode::Causal;
+  if (Name == "tpcc25k") {
+    P.Bench = Benchmark::Tpcc;
+    P.Sessions = 10;
+    P.Txns = 25000;
+    P.Seed = 3002;
+  } else {
+    P.Bench = Benchmark::CTwitter;
+    P.Sessions = 50;
+    P.Txns = 100000;
+    P.Seed = 3001;
+  }
+  return Cache.emplace(Name, writeTextHistory(generateHistory(P)))
+      .first->second;
+}
+
+void BM_LoadTextHistory(benchmark::State &State, const char *Name) {
+  const std::string &Text = loadCorpus(Name);
+  for (auto _ : State) {
+    std::optional<History> H = parseTextHistory(Text);
+    if (!H)
+      State.SkipWithError("parse failed");
+    benchmark::DoNotOptimize(H);
+  }
+  State.SetBytesProcessed(static_cast<int64_t>(State.iterations()) *
+                          static_cast<int64_t>(Text.size()));
+}
+
+BENCHMARK_CAPTURE(BM_LoadTextHistory, ctwitter100k, "ctwitter100k")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_LoadTextHistory, tpcc25k, "tpcc25k")
+    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 

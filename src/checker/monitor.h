@@ -42,6 +42,7 @@
 #include "checker/saturation_state.h"
 #include "checker/violation_sink.h"
 #include "history/history.h"
+#include "history/key_refs.h"
 #include "history/wr_resolver.h"
 #include "obs/histogram.h"
 #include "support/assert.h"
@@ -291,6 +292,10 @@ public:
   /// Number of sessions added so far.
   size_t numSessions() const { return Live.Sessions.size(); }
 
+  /// Distinct keys the live window's operations touch (its
+  /// History::numKeys(); eviction releases the keys it drops).
+  size_t numLiveKeys() const { return Live.numKeys(); }
+
   /// A short label for a monitor transaction id, e.g. "t12(s3#4)" or
   /// "t12(evicted)".
   std::string txnLabel(TxnId MonitorId) const;
@@ -347,6 +352,14 @@ private:
     /// True while some read of this (closed) transaction resolves to a
     /// still-open writer; checking is deferred until all writers close.
     bool Deferred = false;
+    /// True while this closed transaction's derived indices are missing
+    /// or out of date: it closed without deriving (no checking cadence),
+    /// or a late write resolved one of its parked reads, or a writer it
+    /// reads from closed. The next pass (or takeHistory/finalize) derives
+    /// exactly these; every other dirty transaction keeps its close-time
+    /// derivation. Not serialized: a restored monitor marks every dirty
+    /// transaction stale.
+    bool Stale = false;
     /// Stream time of the last lifecycle event: begin while open, close
     /// once closed. Drives the age horizon and the force-abort policy.
     uint64_t Ts = 0;
@@ -397,9 +410,16 @@ private:
   /// Rebuilds the key refcounts and reader index of the whole window.
   void indexWindow();
 
-  /// Closes \p Id (commit or abort), resolves its reads, wakes waiting
-  /// readers, and schedules checking.
+  /// Closes \p Id (commit or abort), wakes waiting readers, and schedules
+  /// checking. With a checking cadence it also resolves \p Id's reads now,
+  /// so the pass that checks it only re-derives what changed since;
+  /// without one, nothing reads the derived state before the next pass or
+  /// takeHistory(), which derive it once, against every write that
+  /// arrived meanwhile.
   void closeTxn(TxnId Id, bool Committed);
+
+  /// Marks the closed \p Id for (re-)derivation and checking.
+  void markStale(TxnId Id);
 
   /// Recomputes \p Id's resolved reads and derived indices from its ops
   /// against the current write index. Returns false when some read
@@ -455,7 +475,7 @@ private:
   /// Per-transaction monitor state, parallel to Live's slots.
   std::vector<TxnMeta> Meta;
   /// Operations per key in the window; its size is History::KeyCount.
-  std::unordered_map<Key, uint32_t> KeyRefs;
+  KeyRefCounts KeyRefs;
 
   /// The incremental saturation engine: persisted happens-before facts,
   /// per-key write index, refcounted source-tagged edges, dynamic
@@ -478,8 +498,10 @@ private:
   static constexpr uint64_t UnknownMaskedWriter =
       (static_cast<uint64_t>(NoTxn) << 32) | NoOp;
 
-  /// Closed transactions whose checking state is stale (newly closed or
-  /// retroactively re-resolved). Ordered for deterministic flushes.
+  /// Closed transactions not yet handed to the checking pass (newly
+  /// closed, deferred on an open writer, or retroactively re-resolved);
+  /// TxnMeta::Stale says which of them need deriving first. Ordered for
+  /// deterministic flushes.
   std::set<TxnId> Dirty;
 
   /// Currently open transactions, for the force-abort scan.

@@ -2,9 +2,11 @@
 
 #include "history/history_builder.h"
 
+#include "history/key_refs.h"
 #include "history/wr_resolver.h"
 #include "support/assert.h"
 
+#include <algorithm>
 #include <unordered_set>
 
 using namespace awdit;
@@ -70,12 +72,12 @@ std::optional<History> HistoryBuilder::build(std::string *Err) const {
 
   // Index every write site by (key, value) and collect all written keys.
   WriteSiteIndex WriteIndex;
-  std::unordered_set<Key> AllKeys;
+  KeyRefCounts AllKeys;
   for (size_t I = 0; I < NumUserTxns; ++I) {
     const Transaction &T = H.Txns[I];
     for (uint32_t OpIdx = 0; OpIdx < T.Ops.size(); ++OpIdx) {
       const Operation &Op = T.Ops[OpIdx];
-      AllKeys.insert(Op.K);
+      AllKeys.add(Op.K);
       if (!Op.isWrite())
         continue;
       if (!WriteIndex.record(Op.K, Op.V, static_cast<TxnId>(I), OpIdx)) {
@@ -136,7 +138,6 @@ std::optional<History> HistoryBuilder::build(std::string *Err) const {
     if (T.Committed)
       ++CommittedCount;
 
-    std::unordered_set<TxnId> SeenWriters;
     for (uint32_t OpIdx = 0; OpIdx < T.Ops.size(); ++OpIdx) {
       const Operation &Op = T.Ops[OpIdx];
       if (Op.isWrite())
@@ -153,7 +154,10 @@ std::optional<History> HistoryBuilder::build(std::string *Err) const {
       if (RI.Writer != NoTxn && RI.Writer != static_cast<TxnId>(I) &&
           H.Txns[RI.Writer].Committed) {
         T.ExtReads.push_back(ReadIdx);
-        if (SeenWriters.insert(RI.Writer).second)
+        // A transaction reads from few writers: a linear scan beats a
+        // hash set built per transaction.
+        if (std::find(T.ReadFroms.begin(), T.ReadFroms.end(), RI.Writer) ==
+            T.ReadFroms.end())
           T.ReadFroms.push_back(RI.Writer);
       }
     }

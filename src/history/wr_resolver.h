@@ -18,9 +18,10 @@
 #define AWDIT_HISTORY_WR_RESOLVER_H
 
 #include "history/types.h"
+#include "support/assert.h"
+#include "support/flat_table.h"
 
 #include <string>
-#include <unordered_map>
 
 namespace awdit {
 
@@ -42,10 +43,10 @@ struct KeyValue {
 
 struct KeyValueHash {
   size_t operator()(const KeyValue &KV) const {
-    // Mix the two 64-bit halves; the multiplier is an arbitrary odd prime.
-    uint64_t H = KV.K * 0x9e3779b97f4a7c15ULL;
-    H ^= static_cast<uint64_t>(KV.V) + 0x7f4a7c15ULL + (H << 6) + (H >> 2);
-    return static_cast<size_t>(H);
+    // Odd-multiply the key so (K, V) and (V, K) differ, then avalanche:
+    // the flat index masks the low bits.
+    return static_cast<size_t>(mixHash64(KV.K * 0x9e3779b97f4a7c15ULL ^
+                                         static_cast<uint64_t>(KV.V)));
   }
 };
 
@@ -56,37 +57,58 @@ struct WriteSite {
 };
 
 /// The (key, value) -> write-site index. wr^-1 must be a function, so
-/// record() rejects a second write of the same pair.
+/// record() rejects a second write of the same pair. One flat table
+/// (support/flat_table.h) of 24-byte slots; a slot is empty when its site
+/// has no transaction, so every key and value stays representable.
 class WriteSiteIndex {
 public:
   /// Records a write of (\p K, \p V) at (\p T, \p Op). Returns false when
-  /// the pair was already written (the model invariant violation).
+  /// the pair was already written (the model invariant violation). \p T
+  /// must be a real transaction id, not NoTxn.
   bool record(Key K, Value V, TxnId T, uint32_t Op) {
-    return Index.insert({KeyValue{K, V}, WriteSite{T, Op}}).second;
+    AWDIT_ASSERT(T != NoTxn, "WriteSiteIndex::record: NoTxn site");
+    auto [S, Claimed] = Table.insert(KeyValue{K, V});
+    if (!Claimed)
+      return false;
+    *S = Slot{KeyValue{K, V}, WriteSite{T, Op}};
+    return true;
   }
 
   /// Looks up the write site of (\p K, \p V); nullptr if nothing wrote it
-  /// (so far).
+  /// (so far). The pointer is valid until the next record() or erase().
   const WriteSite *find(Key K, Value V) const {
-    auto It = Index.find(KeyValue{K, V});
-    return It == Index.end() ? nullptr : &It->second;
+    const Slot *S = Table.find(KeyValue{K, V});
+    return S ? &S->Site : nullptr;
   }
 
   /// Removes the entry for (\p K, \p V), if present. Used by the windowed
   /// Monitor when the writing transaction is evicted.
-  void erase(Key K, Value V) { Index.erase(KeyValue{K, V}); }
+  void erase(Key K, Value V) { Table.erase(KeyValue{K, V}); }
 
-  size_t size() const { return Index.size(); }
+  size_t size() const { return Table.size(); }
 
   /// Calls \p Fn(const KeyValue &, const WriteSite &) for every entry, in
   /// unspecified order. Checkpoint serialization sorts the result itself.
   template <typename Fn> void forEach(Fn &&F) const {
-    for (const auto &[KV, Site] : Index)
-      F(KV, Site);
+    Table.forEach([&](const Slot &S) { F(S.KV, S.Site); });
+  }
+
+  /// The table's slot count and hash, so tests can aim entries at chosen
+  /// slots.
+  size_t capacity() const { return Table.capacity(); }
+  static uint64_t hash(Key K, Value V) {
+    return KeyValueHash()(KeyValue{K, V});
   }
 
 private:
-  std::unordered_map<KeyValue, WriteSite, KeyValueHash> Index;
+  struct Slot {
+    KeyValue KV{0, 0};
+    WriteSite Site{NoTxn, NoOp};
+    bool empty() const { return Site.T == NoTxn; }
+    const KeyValue &key() const { return KV; }
+    static uint64_t hash(const KeyValue &KV) { return KeyValueHash()(KV); }
+  };
+  FlatTable<Slot> Table;
 };
 
 } // namespace awdit

@@ -4,6 +4,7 @@
 
 #include "checker/monitor.h"
 #include "io/stream_parser.h"
+#include "obs/trace.h"
 
 #include <fstream>
 #include <sstream>
@@ -19,10 +20,13 @@ std::optional<History> awdit::parseTextHistory(std::string_view Text,
   // as an incremental HistoryBuilder whose result is bit-identical to the
   // historical build() output (tests/test_monitor.cpp).
   Monitor M;
-  StreamingTextParser Parser(M);
-  if (!Parser.feed(Text, Err) || !Parser.finish(Err))
-    return std::nullopt;
-  return M.takeHistory();
+  {
+    AWDIT_SPAN("load.parse");
+    StreamingTextParser Parser(M);
+    if (!Parser.feed(Text, Err) || !Parser.finish(Err))
+      return std::nullopt;
+  }
+  return M.takeHistory(); // the load.derive span
 }
 
 std::string awdit::writeTextHistory(const History &H) {

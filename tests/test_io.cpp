@@ -3,6 +3,7 @@
 #include "io/dbcop_format.h"
 #include "io/plume_format.h"
 #include "io/text_format.h"
+#include "sim/anomaly_injector.h"
 #include "tests/test_util.h"
 #include "workload/generator.h"
 
@@ -50,6 +51,106 @@ TEST(TextFormat, RoundTripsGeneratedHistories) {
     std::optional<History> Back = parseTextHistory(writeTextHistory(H), &Err);
     ASSERT_TRUE(Back) << Err;
     expectSameHistory(H, *Back);
+  }
+}
+
+namespace {
+
+/// Loading a native history (the Monitor fed line by line, deriving each
+/// transaction once when the history is taken) must rebuild, field by
+/// field, what HistoryBuilder::build derived for the same transactions.
+void expectSameDerivedHistory(const History &Built, const History &Loaded,
+                              const std::string &Ctx) {
+  ASSERT_EQ(Built.numTxns(), Loaded.numTxns()) << Ctx;
+  ASSERT_EQ(Built.numSessions(), Loaded.numSessions()) << Ctx;
+  EXPECT_EQ(Built.numOps(), Loaded.numOps()) << Ctx;
+  EXPECT_EQ(Built.numCommitted(), Loaded.numCommitted()) << Ctx;
+  EXPECT_EQ(Built.numKeys(), Loaded.numKeys()) << Ctx;
+  for (SessionId S = 0; S < Built.numSessions(); ++S)
+    EXPECT_EQ(Built.sessionTxns(S), Loaded.sessionTxns(S)) << Ctx;
+  for (TxnId Id = 0; Id < Built.numTxns(); ++Id) {
+    const Transaction &A = Built.txn(Id), &B = Loaded.txn(Id);
+    std::string At = Ctx + " txn " + std::to_string(Id);
+    EXPECT_EQ(A.Session, B.Session) << At;
+    EXPECT_EQ(A.Committed, B.Committed) << At;
+    if (A.Committed) {
+      EXPECT_EQ(A.SoIndex, B.SoIndex) << At;
+    }
+    ASSERT_EQ(A.Ops.size(), B.Ops.size()) << At;
+    for (size_t O = 0; O < A.Ops.size(); ++O)
+      EXPECT_TRUE(A.Ops[O] == B.Ops[O]) << At;
+    ASSERT_EQ(A.Reads.size(), B.Reads.size()) << At;
+    for (size_t R = 0; R < A.Reads.size(); ++R) {
+      const ReadInfo &X = A.Reads[R], &Y = B.Reads[R];
+      EXPECT_EQ(X.OpIndex, Y.OpIndex) << At;
+      EXPECT_EQ(X.K, Y.K) << At;
+      EXPECT_EQ(X.V, Y.V) << At;
+      EXPECT_EQ(X.Writer, Y.Writer) << At;
+      EXPECT_EQ(X.WriterOp, Y.WriterOp) << At;
+    }
+    EXPECT_EQ(A.ExtReads, B.ExtReads) << At;
+    EXPECT_EQ(A.ReadFroms, B.ReadFroms) << At;
+    EXPECT_EQ(A.WriteKeys, B.WriteKeys) << At;
+    EXPECT_EQ(A.LastWriteOps, B.LastWriteOps) << At;
+  }
+}
+
+/// True when some read resolves to the history's last transaction — the
+/// generators' initial-state writer, which a loader meets only after
+/// every read of it.
+bool lastTxnIsReadFrom(const History &H) {
+  TxnId Last = static_cast<TxnId>(H.numTxns() - 1);
+  for (const Transaction &T : H.transactions())
+    for (const ReadInfo &RI : T.Reads)
+      if (RI.Writer == Last)
+        return true;
+  return false;
+}
+
+} // namespace
+
+TEST(TextFormat, LoadDerivesWhatTheBuilderDerives) {
+  for (Benchmark Bench : {Benchmark::CTwitter, Benchmark::Tpcc}) {
+    for (uint64_t Seed = 1; Seed <= 3; ++Seed) {
+      GenerateParams P;
+      P.Bench = Bench;
+      P.Mode = Seed == 2 ? ConsistencyMode::ReadCommitted
+                         : ConsistencyMode::Causal;
+      P.Sessions = 6;
+      P.Txns = 800;
+      P.Seed = Seed * 31;
+      P.AbortProbability = Seed == 3 ? 0.05 : 0.0;
+      History H = generateHistory(P);
+      std::string Ctx = std::string(benchmarkName(Bench)) + " seed " +
+                        std::to_string(Seed);
+      ASSERT_TRUE(lastTxnIsReadFrom(H)) << Ctx;
+      std::string Err;
+      std::optional<History> Loaded =
+          parseTextHistory(writeTextHistory(H), &Err);
+      ASSERT_TRUE(Loaded) << Err;
+      expectSameDerivedHistory(H, *Loaded, Ctx);
+    }
+  }
+}
+
+TEST(TextFormat, LoadDerivesWhatTheBuilderDerivesOnInjectedAnomalies) {
+  GenerateParams P;
+  P.Bench = Benchmark::CTwitter;
+  P.Mode = ConsistencyMode::Serializable;
+  P.Sessions = 6;
+  P.Txns = 400;
+  P.Seed = 5;
+  History Base = generateHistory(P);
+  for (int Kind = 0; Kind < 7; ++Kind) {
+    std::string Err;
+    std::optional<History> H =
+        injectAnomaly(Base, static_cast<AnomalyKind>(Kind), 11 + Kind, &Err);
+    ASSERT_TRUE(H) << Err;
+    std::optional<History> Loaded =
+        parseTextHistory(writeTextHistory(*H), &Err);
+    ASSERT_TRUE(Loaded) << Err;
+    expectSameDerivedHistory(*H, *Loaded,
+                             anomalyKindName(static_cast<AnomalyKind>(Kind)));
   }
 }
 

@@ -22,7 +22,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <optional>
+#include <set>
 #include <string>
 
 using namespace awdit;
@@ -255,6 +257,46 @@ TEST(MonitorWindowed, BoundedMemoryOnCleanStream) {
   EXPECT_LE(MaxLive,
             Options.WindowTxns + Options.CheckIntervalTxns + 16);
   EXPECT_LE(S.LiveTxns, Options.WindowTxns + Options.CheckIntervalTxns + 16);
+}
+
+/// The window's key count follows eviction exactly, including for the
+/// keys at the ends of the range: 2^64-1 is no empty marker in the key
+/// refcounts, and neither is 0.
+TEST(MonitorWindowed, KeyCountFollowsEvictionWithExtremeKeys) {
+  constexpr Key MaxKey = std::numeric_limits<Key>::max();
+  const Key Rotating[] = {0, 1, MaxKey - 1, MaxKey, 42};
+  MonitorOptions Options;
+  Options.Level = IsolationLevel::CausalConsistency;
+  Options.CheckIntervalTxns = 1;
+  Options.WindowTxns = 4;
+  Monitor M(Options);
+  SessionId S = M.addSession();
+  std::vector<std::vector<Key>> TxnKeys;
+  // Key 7 chains the transactions (each reads the previous one's write);
+  // the rotating keys, 2^64-1 among them, enter and leave the window.
+  for (Value I = 0; I < 60; ++I) {
+    TxnId T = M.beginTxn(S);
+    std::vector<Key> Keys = {7};
+    if (I > 0)
+      M.read(T, 7, I);
+    ASSERT_TRUE(M.write(T, 7, I + 1));
+    if (I % 4 != 3) {
+      Key K = Rotating[(I / 3) % 5];
+      ASSERT_TRUE(M.write(T, K, 1000 + I));
+      Keys.push_back(K);
+    }
+    TxnKeys.push_back(Keys);
+    M.commit(T);
+
+    const MonitorStats &St = M.stats();
+    std::set<Key> Live;
+    for (size_t J = St.EvictedTxns; J < TxnKeys.size(); ++J)
+      Live.insert(TxnKeys[J].begin(), TxnKeys[J].end());
+    EXPECT_EQ(M.numLiveKeys(), Live.size()) << "after txn " << I;
+  }
+  EXPECT_GT(M.stats().EvictedTxns, 40u);
+  CheckReport Report = M.finalize();
+  EXPECT_TRUE(Report.Consistent);
 }
 
 /// Windowed mode still catches anomalies whose transactions are inside the

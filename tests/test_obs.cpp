@@ -598,6 +598,8 @@ TEST(Trace, ShardedPipelineLeavesAllStageSpans) {
   Parallel.ParallelThreshold = 0;
   checkIsolation(generateHistory(P), IsolationLevel::CausalConsistency,
                  Parallel);
+  // A one-shot load of the same history.
+  ASSERT_TRUE(parseTextHistory(Text));
 
   std::string Json = obs::traceDumpJson();
   ASSERT_TRUE(JsonChecker(Json).valid());
@@ -606,7 +608,8 @@ TEST(Trace, ShardedPipelineLeavesAllStageSpans) {
         "\"flush\"", "\"flush.read_check\"", "\"flush.delta\"",
         "\"flush.finalize\"", "\"flush.evict\"", "\"checkpoint.v1\"",
         "\"check\"", "\"check.read_check\"", "\"check.saturate\"",
-        "\"check.canonicalize\"", "\"check.acyclic\""})
+        "\"check.canonicalize\"", "\"check.acyclic\"", "\"load.parse\"",
+        "\"load.derive\""})
     EXPECT_NE(Json.find(Span), std::string::npos) << "missing " << Span;
   // Worker threads named their tracks.
   EXPECT_NE(Json.find("\"applier\""), std::string::npos);

@@ -129,9 +129,9 @@ int usage() {
       " [--witnesses N]\n"
       "                 [--threads N (0 = all cores, 1 = sequential)]"
       " [--json]\n"
-      "                 [--trace FILE (record the check's phase spans to a"
-      " Chrome-trace\n"
-      "                  JSON file)]\n"
+      "                 [--trace FILE (record the load's and the check's"
+      " phase spans to a\n"
+      "                  Chrome-trace JSON file)]\n"
       "  awdit batch <file>... --level rc|ra|cc|all [--format F]"
       " [--jobs N] [--witnesses N] [--json]\n"
       "  awdit monitor <file|-> --level rc|ra|cc"
@@ -343,10 +343,14 @@ int cmdCheck(const std::string &Path, const Flags &F) {
     std::fprintf(stderr, "error: --level rc|ra|cc is required\n");
     return 2;
   }
+  // The trace covers the load too (load.parse / load.derive): it is about
+  // as long as the check itself.
+  const std::string *TracePath = startTrace(F, "main");
   std::string Err;
   std::optional<History> H =
       loadHistory(Path, F.getOr("format", "native"), &Err);
   if (!H) {
+    finishTrace(TracePath);
     std::fprintf(stderr, "error: %s\n", Err.c_str());
     return 2;
   }
@@ -356,7 +360,6 @@ int cmdCheck(const std::string &Path, const Flags &F) {
       static_cast<size_t>(numFlag(F, "witnesses", "16"));
   Options.Threads =
       static_cast<unsigned>(numFlag(F, "threads", "0"));
-  const std::string *TracePath = startTrace(F, "main");
   CheckReport Report = checkIsolation(*H, *Level, Options);
   finishTrace(TracePath);
   if (F.get("json")) {
