@@ -46,8 +46,6 @@ template <typename Slot> class FlatTable {
 public:
   using KeyType = std::decay_t<decltype(std::declval<const Slot &>().key())>;
 
-  static constexpr size_t MinCapacity = 16;
-
   FlatTable() : Table(MinCapacity) {}
 
   size_t size() const { return Count; }
@@ -97,6 +95,8 @@ public:
   }
 
 private:
+  static constexpr size_t MinCapacity = 16;
+
   size_t probe(const KeyType &K) const {
     size_t Mask = Table.size() - 1;
     size_t I = Slot::hash(K) & Mask;
@@ -125,8 +125,8 @@ private:
   }
 
   void rehash(size_t NewCapacity) {
-    std::vector<Slot> Old(NewCapacity);
-    Old.swap(Table);
+    std::vector<Slot> Old = std::move(Table);
+    Table.assign(NewCapacity, Slot());
     for (const Slot &S : Old)
       if (!S.empty())
         Table[probe(S.key())] = S;
